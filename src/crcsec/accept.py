@@ -162,12 +162,14 @@ def ac5_orthogonal_corner() -> CriterionResult:
     fails: list[str] = []
     ch = channel.orthogonal_channel()
     hand = _hand_inner_aux()
-    pts = bounds.inner_point(ch, hand)
+    pts = bounds.bound_point(ch, bounds.BoundKind.INNER, hand)
     exact = any(
         p.r1 == 1.0 and p.r2 == 1.0 and p.re1 == 1.0 and p.re2 == 0.0 for p in pts
     )
     _check(fails, exact, f"hand-built assignment gave {pts}, not (1,1,1,0)")
-    reg = bounds.search_region(ch, bounds.BoundKind.INNER, cards=(1, 1, 1, 2), samples=2000, seed=5)
+    reg = bounds.search_region(
+        ch, bounds.BoundKind.INNER, cards=bounds.SearchCards(1, 1, 1, 2), samples=2000, seed=5
+    )
     target = region.RatePoint(0.95, 0.95, 0.95, 0.0)
     _check(
         fails,
@@ -179,7 +181,7 @@ def ac5_orthogonal_corner() -> CriterionResult:
         aux = prob.sample_joint(
             [("W", 2), ("V", 3), ("U", 3), ("X1", 2), ("X2", 2)], seed=50_000 + i
         )
-        for p in bounds.outer_point(ch, aux):
+        for p in bounds.bound_point(ch, bounds.BoundKind.OUTER, aux):
             over = max(over, p.r1, p.r2)
     _check(fails, over <= 1.0 + 1e-9, f"outer vertex exceeded 1: {over}")
     return _result("AC5", t0, not fails, "; ".join(fails) or "corner reached; outer capped at 1")
@@ -215,18 +217,18 @@ def ac6_semidet_coincidence(samples: int = 5000) -> CriterionResult:
 def ac7_secrecy_vanishes() -> CriterionResult:
     t0 = time.perf_counter()
     ch = channel.xor_channel()
-    evaluators: list[tuple[str, Callable[..., list[region.RatePoint]], list[tuple[str, int]]]] = [
-        ("inner", bounds.inner_point, [("Q", 2), ("W", 2), ("V", 3), ("U", 3)]),
-        ("outer", bounds.outer_point, [("W", 2), ("V", 3), ("U", 3)]),
-        ("semidet", bounds.semidet_point, [("V", 3)]),
+    evaluators: list[tuple[bounds.BoundKind, list[tuple[str, int]]]] = [
+        (bounds.BoundKind.INNER, [("Q", 2), ("W", 2), ("V", 3), ("U", 3)]),
+        (bounds.BoundKind.OUTER, [("W", 2), ("V", 3), ("U", 3)]),
+        (bounds.BoundKind.SEMIDET, [("V", 3)]),
     ]
     bad = []
-    for name, fn, aux_axes in evaluators:
+    for kind, aux_axes in evaluators:
         axes = aux_axes + [("X1", 2), ("X2", 2)]
         for i in range(400):
-            for p in fn(ch, prob.sample_joint(axes, seed=70_000 + i)):
+            for p in bounds.bound_point(ch, kind, prob.sample_joint(axes, seed=70_000 + i)):
                 if p.re1 != 0.0 or p.re2 != 0.0:
-                    bad.append(f"{name}: ({p.r1}, {p.r2}, {p.re1}, {p.re2})")
+                    bad.append(f"{kind.value}: ({p.r1}, {p.r2}, {p.re1}, {p.re2})")
     ok = not bad
     return _result("AC7", t0, ok, bad[0] if bad else "all secrecy coordinates exactly 0")
 

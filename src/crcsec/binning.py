@@ -42,8 +42,7 @@ import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from .channel import ChannelError, DiscreteCRC, load_channel
-from .prob import JointPmf, is_jointly_typical, marginalize, positive_part
-from .prob import conditional_mutual_information as cmi
+from .prob import Informations, JointPmf, is_jointly_typical, marginalize, positive_part
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
@@ -88,15 +87,15 @@ def compute_scheme_informations(ch: DiscreteCRC, aux: JointPmf) -> SchemeInforma
 
     asg = AuxAssignment(ch, aux)
     asg.require_axes(["V", "U"])
-    p = asg.extended
+    i = Informations(asg.extended).i
     return SchemeInformations(
-        i_u_y1=cmi(p, "U", "Y1"),
-        i_u_y2vx2=cmi(p, "U", ("Y2", "V", "X2")),
-        i_v_y2_x2=cmi(p, "V", "Y2", "X2"),
-        i_v_y1u_x2=cmi(p, "V", ("Y1", "U"), "X2"),
-        i_u_x2=cmi(p, "U", "X2"),
-        i_x2_y2=cmi(p, "X2", "Y2"),
-        i_u_vx2=cmi(p, "U", ("V", "X2")),
+        i_u_y1=i("U", "Y1"),
+        i_u_y2vx2=i("U", ("Y2", "V", "X2")),
+        i_v_y2_x2=i("V", "Y2", "X2"),
+        i_v_y1u_x2=i("V", ("Y1", "U"), "X2"),
+        i_u_x2=i("U", "X2"),
+        i_x2_y2=i("X2", "Y2"),
+        i_u_vx2=i("U", ("V", "X2")),
     )
 
 
@@ -609,27 +608,21 @@ class SimConfig:
     seed: int
     codebooks: int = 1
     exact_budget: int = DEFAULT_EXACT_BUDGET
-
-    def raw(self) -> dict[str, Any]:
-        return {
-            "n": self.n,
-            "r1": self.r1,
-            "r21": self.r21,
-            "r22": self.r22,
-            "eps": self.eps,
-            "trials": self.trials,
-            "seed": self.seed,
-            "codebooks": self.codebooks,
-            "exact_budget": self.exact_budget,
-        }
+    # the config as written, with the channel path made absolute, so that a
+    # run recorded from it replays from any directory
+    document: dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
+    """Parse a simulation config file, or the ``config`` entry of a
+    ``simulate`` manifest."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise SimError(f"cannot parse simulation config {path}: {exc}") from exc
+    if isinstance(obj, dict):
+        obj = obj.get("config", obj)
     try:
         channel_path = Path(obj["channel"])
         if not channel_path.is_absolute():
@@ -651,6 +644,7 @@ def load_sim_config(path: str | Path) -> SimConfig:
             seed=int(obj["seed"]),
             codebooks=int(obj.get("codebooks", 1)),
             exact_budget=int(obj.get("exact_budget", DEFAULT_EXACT_BUDGET)),
+            document=dict(obj, channel=str(channel_path.resolve())),
         )
     except (KeyError, TypeError, ValueError, ChannelError) as exc:
         if isinstance(exc, SimError):

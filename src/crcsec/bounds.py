@@ -1,9 +1,10 @@
 """Single-letter rate-region evaluation and sampled search for discrete channels.
 
-Each evaluator takes one auxiliary-variable joint distribution (over a
-subset of Q, W, V, U plus the channel inputs X1, X2), pushes it through the
-channel, and turns the resulting mutual-information caps into the vertex
-set of a small polytope:
+Every bound and every channel ordering is one table entry (``BOUNDS``,
+``CONDITIONS``) over the memoized entropies of one extended joint: an
+auxiliary-variable distribution (over a subset of Q, W, V, U plus the
+channel inputs X1, X2) pushed through the channel. :func:`bound_point`
+turns a bound's information caps into the vertex set of a small polytope:
 
     0 <= R1 <= A,   0 <= R2 <= B,   R1 + R2 <= S,
 
@@ -21,12 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .channel import DiscreteCRC, detect_semi_deterministic, induce_joint
-from .prob import JointPmf, conditional_mutual_information as cmi, entropy, sample_joint
+from .prob import Informations, JointPmf, sample_joint
 from .region import RatePoint, Region, merge_frontier, pareto_filter
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
@@ -43,11 +44,6 @@ class BoundsError(ValueError):
 
 def _clip_rate(x: float) -> float:
     return x if x > CAP_SNAP_TOL else 0.0
-
-
-def _cond_entropy(p: JointPmf, a: tuple[str, ...], c: tuple[str, ...]) -> float:
-    value = entropy(p, a + c) - (entropy(p, c) if c else 0.0)
-    return value
 
 
 @dataclass(frozen=True)
@@ -75,15 +71,9 @@ class AuxAssignment:
             raise BoundsError(f"auxiliary joint lacks axes {missing}")
 
 
-def as_assignment(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> AuxAssignment:
-    if isinstance(aux, AuxAssignment):
-        return aux
-    return AuxAssignment(ch, aux)
-
-
 def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[RatePoint]:
     """Vertex set of {0<=R1<=a, 0<=R2<=b, R1+R2<=s} with secrecy coords."""
-    a, b, s = _clip_rate(a), _clip_rate(b), _clip_rate(s)
+    a, b, s, e1, e2 = (_clip_rate(x) for x in (a, b, s, e1, e2))
     s = min(s, a + b)
     corners = {
         (min(a, s), 0.0),
@@ -98,36 +88,36 @@ def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[RatePo
     return list(pareto_filter(points, ("r1", "r2")).frontier)
 
 
-def inner_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePoint]:
-    """Achievable vertices of the general binning inner bound.
+# A bound's caps (A, B, S, E1, E2) from the informations of the extended
+# joint: R1 <= A, R2 <= B, R1 + R2 <= S, Re1 <= [E1]_+, Re2 <= [E2]_+.
+Caps = tuple[float, float, float, float, float]
 
-    Caps, all conditioned on the time-sharing variable Q:
+
+def _inner_caps(info: Informations) -> Caps:
+    """General binning inner bound, all conditioned on the time-sharing Q:
+
       R1  <= min{ I(U;Y1) - I(U;W,X2),  I(U;Y1) + I(V;Y2|W,X2) - I(U;V,W,X2) }
       R2  <= I(V,W,X2;Y2)
       R1+R2 <= I(U;Y1) + I(V,W,X2;Y2) - I(U;V,W,X2)
       Re1 <= [I(U;Y1) - I(U;Y2,V,W,X2)]_+
       Re2 <= [I(V;Y2|W,X2) - I(V;Y1,U|W,X2)]_+
     """
-    asg = as_assignment(ch, aux)
-    asg.require_axes(["Q", "W", "V", "U"])
-    p = asg.extended
-    i_u_y1 = cmi(p, "U", "Y1", "Q")
-    i_u_wx2 = cmi(p, "U", ("W", "X2"), "Q")
-    i_v_y2 = cmi(p, "V", "Y2", ("W", "X2", "Q"))
-    i_u_vwx2 = cmi(p, "U", ("V", "W", "X2"), "Q")
-    i_vwx2_y2 = cmi(p, ("V", "W", "X2"), "Y2", "Q")
-    i_u_y2vwx2 = cmi(p, "U", ("Y2", "V", "W", "X2"), "Q")
-    i_v_y1u = cmi(p, "V", ("Y1", "U"), ("W", "X2", "Q"))
-    a = min(i_u_y1 - i_u_wx2, i_u_y1 + i_v_y2 - i_u_vwx2)
-    b = i_vwx2_y2
-    s = i_u_y1 + i_vwx2_y2 - i_u_vwx2
-    e1 = _clip_rate(i_u_y1 - i_u_y2vwx2)
-    e2 = _clip_rate(i_v_y2 - i_v_y1u)
-    return _vertices(a, b, s, e1, e2)
+    i = info.i
+    u_y1 = i("U", "Y1", "Q")
+    v_y2 = i("V", "Y2", ("W", "X2", "Q"))
+    u_vwx2 = i("U", ("V", "W", "X2"), "Q")
+    vwx2_y2 = i(("V", "W", "X2"), "Y2", "Q")
+    return (
+        min(u_y1 - i("U", ("W", "X2"), "Q"), u_y1 + v_y2 - u_vwx2),
+        vwx2_y2,
+        u_y1 + vwx2_y2 - u_vwx2,
+        u_y1 - i("U", ("Y2", "V", "W", "X2"), "Q"),
+        v_y2 - i("V", ("Y1", "U"), ("W", "X2", "Q")),
+    )
 
 
-def outer_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePoint]:
-    """Vertices of the converse (outer) constraint family.
+def _outer_caps(info: Informations) -> Caps:
+    """Converse (outer) constraint family:
 
       R1  <= min{ I(U,V;Y1|X2),  I(U;Y1|V,X2) + I(V;Y2|X2) }
       R2  <= I(V,X2;Y2)
@@ -135,44 +125,44 @@ def outer_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePoin
       Re1 <= [I(U;Y1|V,X2) - I(U;Y2|V,X2)]_+
       Re2 <= [I(V,X2;Y2|W) - I(V,X2;Y1|W)]_+
     """
-    asg = as_assignment(ch, aux)
-    asg.require_axes(["W", "V", "U"])
-    p = asg.extended
-    i_uv_y1_x2 = cmi(p, ("U", "V"), "Y1", "X2")
-    i_u_y1_vx2 = cmi(p, "U", "Y1", ("V", "X2"))
-    i_v_y2_x2 = cmi(p, "V", "Y2", "X2")
-    i_vx2_y2 = cmi(p, ("V", "X2"), "Y2")
-    i_u_y2_vx2 = cmi(p, "U", "Y2", ("V", "X2"))
-    i_vx2_y2_w = cmi(p, ("V", "X2"), "Y2", "W")
-    i_vx2_y1_w = cmi(p, ("V", "X2"), "Y1", "W")
-    a = min(i_uv_y1_x2, i_u_y1_vx2 + i_v_y2_x2)
-    b = i_vx2_y2
-    s = i_u_y1_vx2 + i_vx2_y2
-    e1 = _clip_rate(i_u_y1_vx2 - i_u_y2_vx2)
-    e2 = _clip_rate(i_vx2_y2_w - i_vx2_y1_w)
-    return _vertices(a, b, s, e1, e2)
+    i = info.i
+    u_y1_vx2 = i("U", "Y1", ("V", "X2"))
+    vx2_y2 = i(("V", "X2"), "Y2")
+    return (
+        min(i(("U", "V"), "Y1", "X2"), u_y1_vx2 + i("V", "Y2", "X2")),
+        vx2_y2,
+        u_y1_vx2 + vx2_y2,
+        u_y1_vx2 - i("U", "Y2", ("V", "X2")),
+        i(("V", "X2"), "Y2", "W") - i(("V", "X2"), "Y1", "W"),
+    )
 
 
-def lessnoisy_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePoint]:
-    """Capacity vertices for channels where receiver 1 is less noisy.
+def _lessnoisy_caps(info: Informations) -> Caps:
+    """Capacity for channels where receiver 1 is less noisy:
+
+      R1  <= I(U,V;Y1|X2)
+      R2  <= I(V,X2;Y2)
+      R1+R2 <= I(U;Y1|V,X2) + I(V,X2;Y2)
+      Re1 <= [I(U;Y1|V,X2) - I(U;Y2|V,X2)]_+
 
     The caller is responsible for having checked the ordering (see
     :func:`check_condition`); on such channels the primary message gets no
     secrecy, so Re2 is pinned to 0.
     """
-    asg = as_assignment(ch, aux)
-    asg.require_axes(["V", "U"])
-    p = asg.extended
-    a = cmi(p, ("U", "V"), "Y1", "X2")
-    b = cmi(p, ("V", "X2"), "Y2")
-    i_u_y1_vx2 = cmi(p, "U", "Y1", ("V", "X2"))
-    s = i_u_y1_vx2 + b
-    e1 = _clip_rate(i_u_y1_vx2 - cmi(p, "U", "Y2", ("V", "X2")))
-    return _vertices(a, b, s, e1, 0.0)
+    i = info.i
+    vx2_y2 = i(("V", "X2"), "Y2")
+    u_y1_vx2 = i("U", "Y1", ("V", "X2"))
+    return (
+        i(("U", "V"), "Y1", "X2"),
+        vx2_y2,
+        u_y1_vx2 + vx2_y2,
+        u_y1_vx2 - i("U", "Y2", ("V", "X2")),
+        0.0,
+    )
 
 
-def semidet_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePoint]:
-    """Capacity vertices for channels with a noiseless cognitive output.
+def _semidet_caps(info: Informations) -> Caps:
+    """Capacity for channels with a noiseless cognitive output:
 
       R1  <= min{ H(Y1|X2),  H(Y1|V,X2) + I(V;Y2|X2) }
       R2  <= I(V,X2;Y2)
@@ -180,30 +170,17 @@ def semidet_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePo
       Re1 <= H(Y1|Y2,V,X2)
       Re2 <= [I(V;Y2|X2) - I(V;Y1|X2)]_+
     """
-    if detect_semi_deterministic(ch) is None:
-        raise BoundsError("channel is not semi-deterministic in Y1")
-    asg = as_assignment(ch, aux)
-    asg.require_axes(["V"])
-    p = asg.extended
-    h_y1_x2 = _cond_entropy(p, ("Y1",), ("X2",))
-    h_y1_vx2 = _clip_rate(_cond_entropy(p, ("Y1",), ("V", "X2")))
-    i_v_y2_x2 = cmi(p, "V", "Y2", "X2")
-    i_vx2_y2 = cmi(p, ("V", "X2"), "Y2")
-    a = min(h_y1_x2, h_y1_vx2 + i_v_y2_x2)
-    b = i_vx2_y2
-    s = h_y1_vx2 + i_vx2_y2
-    e1 = _clip_rate(_cond_entropy(p, ("Y1",), ("Y2", "V", "X2")))
-    e2 = _clip_rate(i_v_y2_x2 - cmi(p, "V", "Y1", "X2"))
-    return _vertices(a, b, s, e1, e2)
-
-
-def semidet_m1only_point(ch: DiscreteCRC, aux: AuxAssignment | JointPmf) -> list[RatePoint]:
-    """Semi-deterministic capacity with secrecy tracked for message 1 only.
-
-    Identical caps to :func:`semidet_point` with the Re2 coordinate dropped;
-    callers should treat the returned points as (R1, R2, Re1) tuples.
-    """
-    return [replace(p, re2=0.0) for p in semidet_point(ch, aux)]
+    h, i = info.h, info.i
+    h_y1_vx2 = _clip_rate(h(("Y1", "V", "X2")) - h(("V", "X2")))
+    v_y2_x2 = i("V", "Y2", "X2")
+    vx2_y2 = i(("V", "X2"), "Y2")
+    return (
+        min(h(("Y1", "X2")) - h("X2"), h_y1_vx2 + v_y2_x2),
+        vx2_y2,
+        h_y1_vx2 + vx2_y2,
+        h(("Y1", "Y2", "V", "X2")) - h(("Y2", "V", "X2")),
+        v_y2_x2 - i("V", "Y1", "X2"),
+    )
 
 
 class BoundKind(str, Enum):
@@ -214,38 +191,41 @@ class BoundKind(str, Enum):
     SEMIDET_M1 = "semidet1"
 
 
-BOUND_ALIASES = {
-    "inner": BoundKind.INNER,
-    "outer": BoundKind.OUTER,
-    "lessnoisy": BoundKind.LESSNOISY,
-    "semidet": BoundKind.SEMIDET,
-    "semidet1": BoundKind.SEMIDET_M1,
-    "thm6": BoundKind.SEMIDET_M1,
+class BoundSpec(NamedTuple):
+    """One single-letter bound: its auxiliaries, its coordinates, its caps."""
+
+    aux_axes: tuple[str, ...]
+    dims: tuple[str, ...]
+    caps: Callable[[Informations], Caps]
+    # the bound holds only when P(y1|x1,x2) is 0/1-valued
+    noiseless_y1: bool = False
+
+
+_ALL_DIMS = ("r1", "r2", "re1", "re2")
+
+BOUNDS: dict[BoundKind, BoundSpec] = {
+    BoundKind.INNER: BoundSpec(("Q", "W", "V", "U"), _ALL_DIMS, _inner_caps),
+    BoundKind.OUTER: BoundSpec(("W", "V", "U"), _ALL_DIMS, _outer_caps),
+    BoundKind.LESSNOISY: BoundSpec(("V", "U"), _ALL_DIMS, _lessnoisy_caps),
+    BoundKind.SEMIDET: BoundSpec(("V",), _ALL_DIMS, _semidet_caps, noiseless_y1=True),
+    # semidet with secrecy tracked for message 1 only: Re2 dropped
+    BoundKind.SEMIDET_M1: BoundSpec(
+        ("V",), ("r1", "r2", "re1"), lambda info: _semidet_caps(info)[:4] + (0.0,),
+        noiseless_y1=True,
+    ),
 }
 
-_BOUND_EVALUATORS: dict[BoundKind, Callable[..., list[RatePoint]]] = {
-    BoundKind.INNER: inner_point,
-    BoundKind.OUTER: outer_point,
-    BoundKind.LESSNOISY: lessnoisy_point,
-    BoundKind.SEMIDET: semidet_point,
-    BoundKind.SEMIDET_M1: semidet_m1only_point,
-}
+BOUND_ALIASES = {kind.value: kind for kind in BoundKind} | {"thm6": BoundKind.SEMIDET_M1}
 
-_BOUND_AUX_AXES: dict[BoundKind, tuple[str, ...]] = {
-    BoundKind.INNER: ("Q", "W", "V", "U"),
-    BoundKind.OUTER: ("W", "V", "U"),
-    BoundKind.LESSNOISY: ("V", "U"),
-    BoundKind.SEMIDET: ("V",),
-    BoundKind.SEMIDET_M1: ("V",),
-}
 
-_BOUND_DIMS: dict[BoundKind, tuple[str, ...]] = {
-    BoundKind.INNER: ("r1", "r2", "re1", "re2"),
-    BoundKind.OUTER: ("r1", "r2", "re1", "re2"),
-    BoundKind.LESSNOISY: ("r1", "r2", "re1", "re2"),
-    BoundKind.SEMIDET: ("r1", "r2", "re1", "re2"),
-    BoundKind.SEMIDET_M1: ("r1", "r2", "re1"),
-}
+def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoint]:
+    """Vertices of one bound's rate polytope for one auxiliary distribution."""
+    spec = BOUNDS[kind]
+    if spec.noiseless_y1 and detect_semi_deterministic(ch) is None:
+        raise BoundsError("channel is not semi-deterministic in Y1")
+    asg = AuxAssignment(ch, aux)
+    asg.require_axes(spec.aux_axes)
+    return _vertices(*spec.caps(Informations(asg.extended)))
 
 
 def parse_bound(token: str) -> BoundKind:
@@ -258,7 +238,7 @@ def parse_bound(token: str) -> BoundKind:
 
 
 def bound_dims(bound: BoundKind, secrecy: bool = True) -> tuple[str, ...]:
-    return _BOUND_DIMS[bound] if secrecy else ("r1", "r2")
+    return BOUNDS[bound].dims if secrecy else ("r1", "r2")
 
 
 @dataclass(frozen=True)
@@ -392,7 +372,7 @@ def _sample_seed(master: int, index: int) -> np.random.SeedSequence:
 def search_region(
     ch: DiscreteCRC,
     bound: BoundKind | str,
-    cards: SearchCards | tuple[int, int, int, int] | None = None,
+    cards: SearchCards | None = None,
     samples: int = 1000,
     seed: int = 0,
     secrecy: bool = True,
@@ -407,19 +387,15 @@ def search_region(
     bound = parse_bound(bound) if isinstance(bound, str) else bound
     if samples < 0:
         raise BoundsError("samples must be >= 0")
-    if isinstance(cards, tuple):
-        cards = SearchCards(*cards)
-    cards = cards or SearchCards()
-    resolved = cards.resolved(ch)
+    resolved = (cards or SearchCards()).resolved(ch)
     cx1, cx2, _, _ = ch.cards
-    axes = [(n, resolved[n]) for n in _BOUND_AUX_AXES[bound]]
+    axes = [(n, resolved[n]) for n in BOUNDS[bound].aux_axes]
     axes += [("X1", cx1), ("X2", cx2)]
-    evaluate = _BOUND_EVALUATORS[bound]
     dims = bound_dims(bound, secrecy)
     frontier: list[RatePoint] = []
 
     def add(joint: JointPmf, source: str, index: int) -> None:
-        points = evaluate(ch, joint)
+        points = bound_point(ch, bound, joint)
         if not secrecy:
             points = [replace(p, re1=0.0, re2=0.0) for p in points]
         meta = {"source": source, "index": index, "aux": joint}
@@ -439,6 +415,31 @@ class Condition(str, Enum):
     LESS_NOISY = "lessnoisy46"
     SEMI_DET = "semidet11"
 
+
+def _lessnoisy_gap(info: Informations) -> float:
+    """I(V,X2;Y2|W) - I(V,X2;Y1|W)."""
+    return info.i(("V", "X2"), "Y2", "W") - info.i(("V", "X2"), "Y1", "W")
+
+
+def _semidet_gap(info: Informations) -> float:
+    """[H(Y2|W) - H(Y2|X2)] - [H(Y1|W) - H(Y1|X2)]."""
+    h = info.h
+    lhs = (h(("Y2", "W")) - h("W")) - (h(("Y2", "X2")) - h("X2"))
+    rhs = (h(("Y1", "W")) - h("W")) - (h(("Y1", "X2")) - h("X2"))
+    return lhs - rhs
+
+
+class ConditionSpec(NamedTuple):
+    """One ordering: its quantified auxiliaries (beside X1, X2) and its gap."""
+
+    aux_axes: tuple[str, ...]
+    gap: Callable[[Informations], float]
+
+
+CONDITIONS: dict[Condition, ConditionSpec] = {
+    Condition.LESS_NOISY: ConditionSpec(("W", "V"), _lessnoisy_gap),
+    Condition.SEMI_DET: ConditionSpec(("W",), _semidet_gap),
+}
 
 CONDITION_ALIASES = {
     "lessnoisy46": Condition.LESS_NOISY,
@@ -490,12 +491,7 @@ class ConditionReport:
 
 def condition_gap(ch: DiscreteCRC, cond: Condition, joint: JointPmf) -> float:
     """LHS - RHS of the ordering for one quantified distribution."""
-    ext = AuxAssignment(ch, joint).extended
-    if cond is Condition.LESS_NOISY:
-        return cmi(ext, ("V", "X2"), "Y2", "W") - cmi(ext, ("V", "X2"), "Y1", "W")
-    lhs = _cond_entropy(ext, ("Y2",), ("W",)) - _cond_entropy(ext, ("Y2",), ("X2",))
-    rhs = _cond_entropy(ext, ("Y1",), ("W",)) - _cond_entropy(ext, ("Y1",), ("X2",))
-    return lhs - rhs
+    return CONDITIONS[cond].gap(Informations(AuxAssignment(ch, joint).extended))
 
 
 def _deterministic_map_candidates(
@@ -540,12 +536,12 @@ def check_condition(
     if samples < 0:
         raise BoundsError("samples must be >= 0")
     cx1, cx2, _, _ = ch.cards
-    w_card = w_card if w_card is not None else cx1 * cx2
-    v_card = v_card if v_card is not None else cx1 * cx2
-    if cond is Condition.LESS_NOISY:
-        axes = [("W", w_card), ("V", v_card), ("X1", cx1), ("X2", cx2)]
-    else:
-        axes = [("W", w_card), ("X1", cx1), ("X2", cx2)]
+    cards = {
+        "W": w_card if w_card is not None else cx1 * cx2,
+        "V": v_card if v_card is not None else cx1 * cx2,
+    }
+    axes = [(n, cards[n]) for n in CONDITIONS[cond].aux_axes]
+    axes += [("X1", cx1), ("X2", cx2)]
     best_gap = -np.inf
     witness: JointPmf | None = None
     count = 0

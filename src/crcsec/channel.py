@@ -80,20 +80,6 @@ class DiscreteCRC:
 
 
 @dataclass(frozen=True)
-class SemiDetTag:
-    """Deterministic map (x1, x2) -> y1 for channels whose Y1 is noiseless."""
-
-    table: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.table, dtype=np.int64)
-        if t.ndim != 2:
-            raise ChannelError("semi-deterministic table must be 2-dimensional")
-        t.flags.writeable = False
-        object.__setattr__(self, "table", t)
-
-
-@dataclass(frozen=True)
 class GaussianCRC:
     """Scalar Gaussian channel parameters (a, b, P1, P2)."""
 
@@ -112,18 +98,14 @@ class GaussianCRC:
             raise ChannelError(f"powers must be positive, got P1={self.p1}, P2={self.p2}")
 
 
-def gaussian_validate(g: GaussianCRC) -> GaussianCRC:
-    """Return ``g`` unchanged; construction already enforces the invariants."""
-    return GaussianCRC(g.a, g.b, g.p1, g.p2)
-
-
-def detect_semi_deterministic(ch: DiscreteCRC, tol: float = ROW_SUM_TOL) -> SemiDetTag | None:
-    """Tag for channels where P(y1|x1,x2) is 0/1-valued (Y2 may be noisy)."""
+def detect_semi_deterministic(ch: DiscreteCRC, tol: float = ROW_SUM_TOL) -> np.ndarray | None:
+    """The map (x1, x2) -> y1 as an (|X1|, |X2|) table when P(y1|x1,x2) is
+    0/1-valued (Y2 may be noisy); None otherwise."""
     py1 = ch.y1_marginal()
     near01 = (np.abs(py1) <= tol) | (np.abs(py1 - 1.0) <= tol)
     if not np.all(near01):
         return None
-    return SemiDetTag(py1.argmax(axis=2))
+    return py1.argmax(axis=2)
 
 
 def induce_joint(ch: DiscreteCRC, inputs: JointPmf) -> JointPmf:

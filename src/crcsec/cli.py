@@ -69,11 +69,9 @@ def _load_config_overlay(args: argparse.Namespace, keys: Sequence[str]) -> dict[
     return cfg
 
 
-def _sweep_rows(g: GaussianCRC, mode: gaussian.GaussMode, steps: int) -> list[str]:
-    cols = {"r1": "R1", "r2": "R2", "re1": "Re1", "re2": "Re2"}
-    dims = gaussian.MODE_DIMS[mode]
-    lines = ["alpha," + ",".join(cols[d] for d in dims)]
-    for p in gaussian.sweep_points(g, mode, steps):
+def _sweep_rows(points: list[region.RatePoint], dims: tuple[str, ...]) -> list[str]:
+    lines = ["alpha," + ",".join(region.DIM_HEADERS[d] for d in dims)]
+    for p in points:
         alpha = p.meta["alpha"]
         lines.append(f"{alpha:.9f}," + ",".join(f"{getattr(p, d):.9f}" for d in dims))
     return lines
@@ -84,11 +82,12 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     try:
         mode = gaussian.parse_mode(str(cfg["mode"]))
         g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
-        steps = int(cfg["steps"])
-        rows = _sweep_rows(g, mode, steps)
-        reg = gaussian.sweep_region(g, mode, steps)
+        points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
     except (gaussian.GaussError, ChannelError) as exc:
         raise CliError(str(exc))
+    dims = gaussian.MODE_DIMS[mode]
+    rows = _sweep_rows(points, dims)
+    reg = region.pareto_filter(points, dims)
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sweep.csv").write_text("\n".join(rows) + "\n")
@@ -104,9 +103,8 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    for b in gaussian.FIGURE_B_VALUES:
-        g = GaussianCRC(a=1.0, b=b, p1=20.0, p2=20.0)
-        rows = _sweep_rows(g, gaussian.GaussMode.WEAK, gaussian.FIGURE_STEPS)
+    for b, points in gaussian.figure_sweeps():
+        rows = _sweep_rows(points, gaussian.MODE_DIMS[gaussian.GaussMode.WEAK])
         name = f"fig2_b{b}.csv"
         (outdir / name).write_text("\n".join(rows) + "\n")
         outputs.append(name)
@@ -135,6 +133,7 @@ def cmd_discrete(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     region.export_csv(reg, outdir / "frontier.csv", sidecar=outdir / "frontier_meta.json")
     cfg["bound"] = kind.value
+    cfg["channel"] = str(Path(cfg["channel"]).resolve())
     cfg["cards"] = list(cards_raw)
     _write_manifest(outdir, "discrete", cfg, ["frontier.csv", "frontier_meta.json"])
     print(json.dumps({"frontier": len(reg)}))
@@ -157,6 +156,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         (outdir / "condition_report.json").write_text(json.dumps(payload, indent=1))
         cfg["condition"] = cond.value
+        cfg["channel"] = str(Path(cfg["channel"]).resolve())
         _write_manifest(outdir, "check", cfg, ["condition_report.json"])
     print(json.dumps(payload))
     return EXIT_VIOLATED if report.violated else EXIT_OK
@@ -179,7 +179,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     outdir = Path(args.out) if args.out else Path(args.config).parent
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "sim_report.json").write_text(json.dumps(payload, indent=1))
-    _write_manifest(outdir, "simulate", {"config": str(args.config), **cfg.raw()}, ["sim_report.json"])
+    _write_manifest(outdir, "simulate", cfg.document, ["sim_report.json"])
     print(json.dumps(payload))
     return EXIT_OK
 

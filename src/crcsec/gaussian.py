@@ -202,18 +202,20 @@ def sweep_region(g: GaussianCRC, mode: GaussMode, steps: int) -> Region:
     return pareto_filter(sweep_points(g, mode, steps), MODE_DIMS[mode])
 
 
+FIGURE_A = 1.0
+FIGURE_POWER = 20.0
 FIGURE_B_VALUES = (0.25, 0.5, 0.75, 1.0)
 FIGURE_STEPS = 400
 
 
-def figure_dataset(
-    a: float = 1.0,
-    p1: float = 20.0,
-    p2: float = 20.0,
+def figure_sweeps(
+    a: float = FIGURE_A,
+    p1: float = FIGURE_POWER,
+    p2: float = FIGURE_POWER,
     b_values: tuple[float, ...] = FIGURE_B_VALUES,
     steps: int = FIGURE_STEPS,
-) -> list[tuple[float, Region]]:
-    """Weak-interference sweeps for the bundled cross-gain family.
+) -> list[tuple[float, list[RatePoint]]]:
+    """Weak-interference alpha sweeps for the bundled cross-gain family.
 
     Defaults reproduce the reference dataset: P1 = P2 = 20, a = 1, and
     b in {0.25, 0.5, 0.75, 1}.
@@ -224,5 +226,17 @@ def figure_dataset(
             g = GaussianCRC(a=a, b=b, p1=p1, p2=p2)
         except ChannelError as exc:
             raise GaussError(str(exc)) from exc
-        out.append((float(b), sweep_region(g, GaussMode.WEAK, steps)))
+        out.append((float(b), sweep_points(g, GaussMode.WEAK, steps)))
     return out
+
+
+def figure_dataset(
+    a: float = FIGURE_A,
+    p1: float = FIGURE_POWER,
+    p2: float = FIGURE_POWER,
+    b_values: tuple[float, ...] = FIGURE_B_VALUES,
+    steps: int = FIGURE_STEPS,
+) -> list[tuple[float, Region]]:
+    """Pareto frontiers of :func:`figure_sweeps` (same parameters)."""
+    dims = MODE_DIMS[GaussMode.WEAK]
+    return [(b, pareto_filter(points, dims)) for b, points in figure_sweeps(a, p1, p2, b_values, steps)]

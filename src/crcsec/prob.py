@@ -4,7 +4,8 @@ Everything downstream (channel push-throughs, rate-region evaluation, the
 binning-code simulator) is built on the small toolkit in this module:
 
 - :class:`JointPmf`, a dense probability tensor with named axes.
-- Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``).
+- Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``), memoized per
+  joint by :class:`Informations`.
 - Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
 - Strong joint typicality of symbol sequences: per-cell absolute deviation
   ``|freq(c) - p(c)| <= eps``, with ``freq(c) = 0`` forced wherever
@@ -16,7 +17,7 @@ use is safe.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence as SequenceABC
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -26,7 +27,7 @@ __all__ = [
     "ProbError",
     "ConsistencyError",
     "JointPmf",
-    "Sequence",
+    "Informations",
     "entropy",
     "conditional_mutual_information",
     "mutual_information",
@@ -124,25 +125,6 @@ class JointPmf:
         return JointPmf(tuple(n for n, _ in axes), probs)
 
 
-@dataclass(frozen=True)
-class Sequence:
-    """A length-n word of alphabet indices (nonnegative integers)."""
-
-    symbols: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        syms = tuple(int(s) for s in self.symbols)
-        if len(syms) < 1:
-            raise ProbError("sequence must have positive length")
-        if any(s < 0 for s in syms):
-            raise ProbError("sequence symbols must be nonnegative indices")
-        object.__setattr__(self, "symbols", syms)
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
-
 def _as_name_set(vars_: str | Iterable[str]) -> tuple[str, ...]:
     if isinstance(vars_, str):
         return (vars_,)
@@ -176,10 +158,54 @@ def entropy(p: JointPmf, vars_: str | Iterable[str]) -> float:
     return _entropy_of(marginalize(p, names).probs)
 
 
-def _entropy_maybe_empty(p: JointPmf, names: tuple[str, ...]) -> float:
-    if not names:
-        return 0.0
-    return entropy(p, names)
+class Informations:
+    """Memoized Shannon quantities of one joint pmf, in bits.
+
+    Each entropy is computed once per variable set, from the full tensor
+    exactly as :func:`entropy` computes it (never from a cached smaller
+    marginal), so every value is bit-identical to a one-shot call whatever
+    order the queries come in.
+    """
+
+    def __init__(self, p: JointPmf) -> None:
+        self.p = p
+        self._entropies: dict[frozenset[str], float] = {}
+
+    def h(self, vars_: str | Iterable[str]) -> float:
+        """H(vars); the empty set has entropy 0."""
+        names = _as_name_set(vars_)
+        if not names:
+            return 0.0
+        key = frozenset(names)
+        value = self._entropies.get(key)
+        if value is None:
+            value = self._entropies[key] = entropy(self.p, names)
+        return value
+
+    def i(
+        self,
+        a: str | Iterable[str],
+        b: str | Iterable[str],
+        c: str | Iterable[str] = (),
+    ) -> float:
+        """I(A;B|C), computed as H(AC) + H(BC) - H(ABC) - H(C).
+
+        The result is clamped to 0 when it falls in ``[-MI_CLAMP_TOL, 0)``;
+        larger negative values raise :class:`ConsistencyError`.
+        """
+        sa, sb, sc = _as_name_set(a), _as_name_set(b), _as_name_set(c)
+        if not sa or not sb:
+            raise ProbError("I(A;B|C) requires nonempty A and B")
+        for group_x, group_y in ((sa, sb), (sa, sc), (sb, sc)):
+            overlap = set(group_x) & set(group_y)
+            if overlap:
+                raise ProbError(f"variable sets must be disjoint; {sorted(overlap)} repeated")
+        value = self.h(sa + sc) + self.h(sb + sc) - self.h(sa + sb + sc) - self.h(sc)
+        if value < 0.0:
+            if value < -MI_CLAMP_TOL:
+                raise ConsistencyError(f"mutual information came out {value} < -{MI_CLAMP_TOL}")
+            return 0.0
+        return value
 
 
 def conditional_mutual_information(
@@ -188,38 +214,17 @@ def conditional_mutual_information(
     b: str | Iterable[str],
     c: str | Iterable[str] = (),
 ) -> float:
-    """I(A;B|C) in bits, computed as H(AC) + H(BC) - H(ABC) - H(C).
-
-    The result is clamped to 0 when it falls in ``[-MI_CLAMP_TOL, 0)``;
-    larger negative values raise :class:`ConsistencyError`.
-    """
-    sa, sb, sc = _as_name_set(a), _as_name_set(b), _as_name_set(c)
-    if not sa or not sb:
-        raise ProbError("I(A;B|C) requires nonempty A and B")
-    for group_x, group_y in ((sa, sb), (sa, sc), (sb, sc)):
-        overlap = set(group_x) & set(group_y)
-        if overlap:
-            raise ProbError(f"variable sets must be disjoint; {sorted(overlap)} repeated")
-    value = (
-        _entropy_maybe_empty(p, sa + sc)
-        + _entropy_maybe_empty(p, sb + sc)
-        - _entropy_maybe_empty(p, sa + sb + sc)
-        - _entropy_maybe_empty(p, sc)
-    )
-    if value < 0.0:
-        if value < -MI_CLAMP_TOL:
-            raise ConsistencyError(f"mutual information came out {value} < -{MI_CLAMP_TOL}")
-        return 0.0
-    return value
+    """I(A;B|C) in bits: a one-shot :meth:`Informations.i`."""
+    return Informations(p).i(a, b, c)
 
 
 def mutual_information(p: JointPmf, a: str | Iterable[str], b: str | Iterable[str]) -> float:
     """I(A;B) in bits."""
-    return conditional_mutual_information(p, a, b, ())
+    return Informations(p).i(a, b)
 
 
 def sample_joint(
-    axes: SequenceABC[tuple[str, int]],
+    axes: Sequence[tuple[str, int]],
     seed: int | np.random.SeedSequence,
 ) -> JointPmf:
     """Draw a joint pmf uniformly from the simplex (flat Dirichlet).
@@ -237,8 +242,6 @@ def sample_joint(
 
 
 def _coerce_symbols(seq: Any) -> np.ndarray:
-    if isinstance(seq, Sequence):
-        return np.asarray(seq.symbols, dtype=np.int64)
     arr = np.asarray(seq, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ProbError("sequences must be nonempty 1-d integer arrays")

@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,37 @@ def test_gauss_rerun_from_manifest_is_byte_identical(tmp_path):
     run(["gauss", "--config", out1 / "manifest.json", "--out", out2])
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
     assert (out1 / "frontier.csv").read_bytes() == (out2 / "frontier.csv").read_bytes()
+
+
+def test_every_command_replays_from_its_manifest(tmp_path, monkeypatch):
+    # inputs named relative to the first run's directory; replays run elsewhere
+    monkeypatch.chdir(tmp_path)
+    ch, aux = _benchmark_setup()
+    orth = "orth.json"
+    write_channel(ch, orth)
+    sim = Path("sim.json")
+    sim.write_text(json.dumps({"channel": "orth.json", "aux": aux.to_jsonable(), "n": 6,
+                               "r1": 0.5, "r21": 0.0, "r22": 0.5, "eps": 0.2, "trials": 20, "seed": 5}))
+    commands = {
+        "gauss": ["--mode", "weak", "--a", 1, "--b", 0.5, "--p1", 20, "--p2", 20, "--steps", 20],
+        "figure2": [],
+        "discrete": ["--bound", "inner", "--channel", orth, "--cards", "1,1,1,2",
+                     "--samples", 20, "--seed", 7],
+        "check": ["--channel", orth, "--condition", "semidet11", "--samples", 20, "--seed", 0],
+        "simulate": ["--config", sim],
+    }
+    for command, flags in commands.items():
+        out_flag = "--outdir" if command == "figure2" else "--out"
+        first, replay = tmp_path / command, tmp_path / f"{command}-replay"
+        code = run([command, *flags, out_flag, first])
+        replay.mkdir()
+        monkeypatch.chdir(replay)
+        assert run([command, "--config", first / "manifest.json", out_flag, replay]) == code
+        monkeypatch.chdir(tmp_path)
+        outputs = json.loads((first / "manifest.json").read_text())["outputs"]
+        assert outputs
+        for name in outputs:
+            assert (first / name).read_bytes() == (replay / name).read_bytes(), (command, name)
 
 
 def test_gauss_hypothesis_violation_exits_2(tmp_path, capsys):
@@ -139,6 +172,15 @@ def test_simulate_cli(tmp_path, capsys):
     assert run(["simulate", "--config", path, "--out", tmp_path / "bad"]) == 4
     assert "r1_cap" in capsys.readouterr().err
     assert run(["simulate", "--config", tmp_path / "missing.json"]) == 2
+
+
+def test_readme_simulation_example_runs(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    config = next(json.loads(block) for block in blocks if '"aux"' in block)
+    write_channel(orthogonal_channel(), tmp_path / config["channel"])
+    (tmp_path / "sim.json").write_text(json.dumps(config))
+    assert run(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "out"]) == 0
 
 
 def _degenerate_aux_json():

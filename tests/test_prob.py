@@ -3,12 +3,13 @@ from itertools import product
 
 import numpy as np
 import pytest
-
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crcsec.prob import (
+    Informations,
     JointPmf,
     ProbError,
-    Sequence,
     conditional_mutual_information,
     entropy,
     is_jointly_typical,
@@ -170,6 +171,10 @@ def test_typicality_length_and_range_errors():
     with pytest.raises(ProbError):
         is_jointly_typical({"X": [0, 2], "Y": [0, 1]}, p, 0.1)
     with pytest.raises(ProbError):
+        is_jointly_typical({"X": [0, -1], "Y": [0, 1]}, p, 0.1)
+    with pytest.raises(ProbError):
+        is_jointly_typical({"X": [], "Y": []}, p, 0.1)
+    with pytest.raises(ProbError):
         is_jointly_typical({"X": [0, 1], "Y": [0, 1]}, p, -0.1)
 
 
@@ -217,10 +222,42 @@ def test_jointpmf_invariants():
     assert np.array_equal(roundtrip.probs, uniform(2, 3).probs)
 
 
-def test_sequence_validation():
-    s = Sequence((0, 1, 1))
-    assert s.n == 3
-    with pytest.raises(ProbError):
-        Sequence(())
-    with pytest.raises(ProbError):
-        Sequence((0, -1))
+@st.composite
+def joints(draw, names=("A", "B", "C", "D")):
+    """Joint pmfs with cardinalities 1-3, zero cells and skewed weights."""
+    cards = tuple(draw(st.integers(1, 3)) for _ in names)
+    size = int(np.prod(cards))
+    weight = st.floats(0.0, 1.0, allow_subnormal=False)
+    weights = draw(st.lists(weight, min_size=size, max_size=size).filter(lambda w: sum(w) > 0))
+    probs = np.asarray(weights).reshape(cards)
+    return JointPmf(names, probs / probs.sum())
+
+
+# one role per variable: in A, in B, in C or unused; A and B nonempty
+roles = st.lists(st.sampled_from("abcn"), min_size=4, max_size=4).filter(
+    lambda r: "a" in r and "b" in r
+)
+
+
+def split(names, role):
+    return tuple(tuple(n for n, r in zip(names, role) if r == g) for g in "abc")
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=joints(), role=roles)
+def test_cmi_chain_rule_and_nonnegativity(p, role):
+    a, b, c = split(p.axes, role)
+    info = Informations(p)
+    assert info.i(a, b, c) >= 0.0
+    if c:
+        assert abs(info.i(a, b + c) - (info.i(a, b) + info.i(a, c, b))) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=joints(), queries=st.lists(roles, min_size=1, max_size=12))
+def test_memoized_informations_equal_one_shot_calls(p, queries):
+    info = Informations(p)
+    for role in queries:
+        a, b, c = split(p.axes, role)
+        assert info.i(a, b, c) == conditional_mutual_information(p, a, b, c)
+        assert info.h(a + c) == entropy(p, a + c)
