@@ -23,11 +23,14 @@ reintroduces W by enlarging the X2 alphabet):
   sequences and marginalizing messages and the encoder's uniform bin
   choice, conditional on the realized codebook.
 
-Typicality here reuses the per-cell strong-typicality test with the
-per-cell tolerance scaled by the distribution's support size
-(``eps * |supp(p)|``); at desk-scale block lengths the unscaled windows
-are so tight that even the transmitted words fail them. ``eps = 0`` still
-demands exact empirical frequencies.
+Typicality is the stacked kernel :func:`~crcsec.prob.typical_mask` with
+the per-cell tolerance scaled by the distribution's support size
+(``eps * |supp(p)|``, ``eps`` always the codebook's ``rates.eps``); at
+desk-scale block lengths the unscaled windows are so tight that even the
+transmitted words fail them. ``eps = 0`` still demands exact empirical
+frequencies. :func:`build_codebook` tests the whole (X2, V, U) word grid
+once into ``Codebook.typical``, which the encoder and the exact
+equivocation read; each decoder tests all its codewords in one call.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 from scipy.stats import beta as _beta_dist
 
 from .channel import ChannelError, DiscreteCRC, load_channel
-from .prob import Informations, JointPmf, is_jointly_typical, marginalize, positive_part
+from .prob import Informations, JointPmf, marginalize, positive_part, typical_mask
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
@@ -229,6 +232,7 @@ class Codebook:
     v_words: np.ndarray = field(repr=False)
     u_words: np.ndarray = field(repr=False)
     x1_words: np.ndarray = field(repr=False)
+    typical: np.ndarray = field(repr=False)  # [m22, m21, l21, m1, l1]: (X2, V, U) typical
     p_x2vu: JointPmf = field(repr=False)
     p_uy1: JointPmf = field(repr=False)
     p_x2vy2: JointPmf = field(repr=False)
@@ -274,10 +278,15 @@ def build_codebook(
     v_probs = np.broadcast_to(v_ctx[:, None, None, :, :], (n_m22, n_m21, n_l21, n, v_ctx.shape[-1]))
     v_words = _sample_categorical(rng, v_probs)
     u_words = _sample_categorical(rng, np.broadcast_to(p_u, (n_m1, n_l1, n, p_u.size)))
-    # X1 word per (m22, m21, l21, m1, l1): conditional on the symbol triple.
+    # Word triples on the (m22, m21, l21, m1, l1) grid: the encoder's
+    # typicality table, then one X1 word per triple, conditional on it.
     u_grid = u_words[None, None, None, :, :, :]
     v_grid = v_words[:, :, :, None, None, :]
     x2_grid = x2_words[:, None, None, None, None, :]
+    p_x2vu = marginalize(aux, ("X2", "V", "U"))
+    typical = typical_mask(
+        {"X2": x2_grid, "V": v_grid, "U": u_grid}, p_x2vu, _support_scaled_eps(p_x2vu, rates.eps)
+    )
     shape = (n_m22, n_m21, n_l21, n_m1, n_l1, n)
     x1_probs = cond_x1[
         np.broadcast_to(u_grid, shape),
@@ -294,7 +303,8 @@ def build_codebook(
         v_words=v_words,
         u_words=u_words,
         x1_words=x1_words,
-        p_x2vu=marginalize(aux, ("X2", "V", "U")),
+        typical=typical,
+        p_x2vu=p_x2vu,
         p_uy1=marginalize(ext, ("U", "Y1")),
         p_x2vy2=marginalize(ext, ("X2", "V", "Y2")),
     )
@@ -311,18 +321,10 @@ class EncodeResult:
     failed: bool
 
 
-def _typical_pairs(cb: Codebook, m1: int, m21: int, m22: int, eps: float) -> list[tuple[int, int]]:
-    eps_eff = _support_scaled_eps(cb.p_x2vu, eps)
-    counts = cb.counts
-    x2w = cb.x2_words[m22]
-    out = []
-    for l21 in range(counts["n_l21"]):
-        vw = cb.v_words[m22, m21, l21]
-        for l1 in range(counts["n_l1"]):
-            uw = cb.u_words[m1, l1]
-            if is_jointly_typical({"X2": x2w, "V": vw, "U": uw}, cb.p_x2vu, eps_eff):
-                out.append((l21, l1))
-    return out
+def _typical_pairs(cb: Codebook, m1: int, m21: int, m22: int) -> list[tuple[int, int]]:
+    """The typical (l21, l1) bin pairs of a message, l21-major."""
+    l21s, l1s = np.nonzero(cb.typical[m22, m21, :, m1, :])
+    return list(zip(l21s.tolist(), l1s.tolist()))
 
 
 def encode(
@@ -330,61 +332,43 @@ def encode(
     m1: int,
     m21: int,
     m22: int,
-    eps: float | None = None,
     rng: np.random.Generator | None = None,
 ) -> EncodeResult:
     """Pick a jointly typical bin pair uniformly and emit its X1 word."""
     counts = cb.counts
     if not (0 <= m1 < counts["n_m1"] and 0 <= m21 < counts["n_m21"] and 0 <= m22 < counts["n_m22"]):
         raise SimError(f"message index out of range: {(m1, m21, m22)}")
-    eps = cb.rates.eps if eps is None else float(eps)
     rng = rng if rng is not None else np.random.default_rng(0)
-    pairs = _typical_pairs(cb, m1, m21, m22, eps)
+    pairs = _typical_pairs(cb, m1, m21, m22)
     if not pairs:
         return EncodeResult(cb.x1_words[m22, m21, 0, m1, 0], 0, 0, failed=True)
     l21, l1 = pairs[int(rng.integers(len(pairs)))]
     return EncodeResult(cb.x1_words[m22, m21, l21, m1, l1], l21, l1, failed=False)
 
 
-def decode_cognitive(cb: Codebook, y1: np.ndarray, eps: float | None = None) -> int | None:
+def _unique_message(cb: Codebook, words: dict[str, np.ndarray], p: JointPmf) -> tuple[int, ...] | None:
+    """Index of the only message with a typical word in some bin (the last
+    word-stack axis), or None when there is no such message or several."""
+    hits = typical_mask(words, p, _support_scaled_eps(p, cb.rates.eps)).any(axis=-1)
+    found = np.argwhere(hits)
+    return tuple(found[0].tolist()) if len(found) == 1 else None
+
+
+def decode_cognitive(cb: Codebook, y1: np.ndarray) -> int | None:
     """Joint-typicality decoding of m1 from Y1; None on no unique message."""
-    counts = cb.counts
-    if counts["n_m1"] == 1:
+    if cb.counts["n_m1"] == 1:
         return 0
-    eps = cb.rates.eps if eps is None else float(eps)
-    eps_eff = _support_scaled_eps(cb.p_uy1, eps)
-    found: set[int] = set()
-    for m1 in range(counts["n_m1"]):
-        for l1 in range(counts["n_l1"]):
-            if is_jointly_typical({"U": cb.u_words[m1, l1], "Y1": y1}, cb.p_uy1, eps_eff):
-                found.add(m1)
-                break
-    if len(found) == 1:
-        return found.pop()
-    return None
+    found = _unique_message(cb, {"U": cb.u_words, "Y1": y1}, cb.p_uy1)
+    return None if found is None else found[0]
 
 
-def decode_primary(
-    cb: Codebook, y2: np.ndarray, eps: float | None = None
-) -> tuple[int, int] | None:
+def decode_primary(cb: Codebook, y2: np.ndarray) -> tuple[int, int] | None:
     """Decode (m22, m21) from Y2; None on no unique message pair."""
     counts = cb.counts
     if counts["n_m22"] * counts["n_m21"] == 1:
         return (0, 0)
-    eps = cb.rates.eps if eps is None else float(eps)
-    eps_eff = _support_scaled_eps(cb.p_x2vy2, eps)
-    found: set[tuple[int, int]] = set()
-    for m22 in range(counts["n_m22"]):
-        x2w = cb.x2_words[m22]
-        for m21 in range(counts["n_m21"]):
-            for l21 in range(counts["n_l21"]):
-                seqs = {"X2": x2w, "V": cb.v_words[m22, m21, l21], "Y2": y2}
-                if is_jointly_typical(seqs, cb.p_x2vy2, eps_eff):
-                    found.add((m22, m21))
-                    break
-    if len(found) == 1:
-        return found.pop()
-    return None
+    words = {"X2": cb.x2_words[:, None, None, :], "V": cb.v_words, "Y2": y2}
+    return _unique_message(cb, words, cb.p_x2vy2)
 
 
 def sample_outputs(
@@ -442,7 +426,7 @@ def exact_equivocation(
             row, w_msg = m1, 1.0 / (n_m21 * n_m22)
         else:
             row, w_msg = m22 * n_m21 + m21, 1.0 / n_m1
-        pairs = _typical_pairs(cb, m1, m21, m22, cb.rates.eps) or [(0, 0)]
+        pairs = _typical_pairs(cb, m1, m21, m22) or [(0, 0)]
         w = w_msg / len(pairs)
         x2w = cb.x2_words[m22]
         for l21, l1 in pairs:

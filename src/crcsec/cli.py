@@ -1,11 +1,13 @@
 """Batch command-line front end.
 
-Commands: gauss, figure2, discrete, check, simulate, verify. Every command
-writes a ``manifest.json`` next to its outputs recording the resolved
-configuration, the master seed and the tool version; re-running a command
-from its manifest (``--config manifest.json``) reproduces the outputs
-byte-identically. Numeric output uses 9 decimal digits, period decimal
-separator.
+Commands: gauss, figure2, discrete, check, simulate, verify. gauss,
+figure2, discrete and simulate, and check when given ``--out``, write a
+``manifest.json`` next to their outputs recording the resolved
+configuration, the master seed and the tool version; re-running such a
+command from its manifest (``--config manifest.json``) reproduces the
+outputs byte-identically. check without ``--out`` writes nothing, and
+verify writes only the JSON summary named by its ``--out``. Numeric output
+uses 9 decimal digits, period decimal separator.
 
 Exit codes: 0 success / condition holds, 2 I/O or configuration error,
 3 condition violated, 4 scheme-rate validation failure.
@@ -20,14 +22,17 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, accept, binning, bounds, gaussian, region
-from .channel import ChannelError, GaussianCRC, load_channel
-from .prob import ProbError
+from .channel import GaussianCRC, load_channel
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_VIOLATED = 3
 EXIT_RATES = 4
+
+# Malformed configuration values: every library error class (BoundsError,
+# ChannelError, GaussError, ProbError, RegionError, SimError) is a ValueError.
+CONFIG_ERRORS = (TypeError, ValueError)
 
 
 class CliError(Exception):
@@ -83,7 +88,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
         mode = gaussian.parse_mode(str(cfg["mode"]))
         g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
         points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
-    except (gaussian.GaussError, ChannelError) as exc:
+    except CONFIG_ERRORS as exc:
         raise CliError(str(exc))
     dims = gaussian.MODE_DIMS[mode]
     rows = _sweep_rows(points, dims)
@@ -127,7 +132,7 @@ def cmd_discrete(args: argparse.Namespace) -> int:
         )
     except FileNotFoundError as exc:
         raise CliError(f"channel file not found: {exc.filename}")
-    except (bounds.BoundsError, ChannelError, ProbError, TypeError, ValueError) as exc:
+    except CONFIG_ERRORS as exc:
         raise CliError(str(exc))
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
@@ -148,7 +153,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         report = bounds.check_condition(ch, cond, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
     except FileNotFoundError as exc:
         raise CliError(f"channel file not found: {exc.filename}")
-    except (bounds.BoundsError, ChannelError) as exc:
+    except CONFIG_ERRORS as exc:
         raise CliError(str(exc))
     payload = report.to_jsonable()
     if args.out:
@@ -167,13 +172,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         cfg = binning.load_sim_config(args.config)
     except FileNotFoundError as exc:
         raise CliError(f"file not found: {exc.filename}")
-    except binning.SimError as exc:
+    except CONFIG_ERRORS as exc:
         raise CliError(str(exc))
     try:
         report = binning.run_simulation(cfg)
     except binning.RateConstraintError as exc:
         raise CliError(str(exc), code=EXIT_RATES)
-    except binning.SimError as exc:
+    except CONFIG_ERRORS as exc:
         raise CliError(str(exc))
     payload = report.to_jsonable()
     outdir = Path(args.out) if args.out else Path(args.config).parent
@@ -187,7 +192,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         results = accept.run_suite(args.suite)
-    except ValueError as exc:
+    except CONFIG_ERRORS as exc:
         raise CliError(str(exc))
     for r in results:
         status = "pass" if r.passed else "FAIL"

@@ -7,9 +7,11 @@ binning-code simulator) is built on the small toolkit in this module:
 - Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``), memoized per
   joint by :class:`Informations`.
 - Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
-- Strong joint typicality of symbol sequences: per-cell absolute deviation
-  ``|freq(c) - p(c)| <= eps``, with ``freq(c) = 0`` forced wherever
-  ``p(c) = 0``.
+- Strong joint typicality, one kernel over stacks of words:
+  :func:`typical_mask` takes integer arrays of shape ``(..., n)`` per
+  variable (leading shapes broadcast), counts every word's cells with one
+  joint-index ``bincount`` and tests ``|freq(c) - p(c)| <= eps`` per cell,
+  with ``freq(c) = 0`` forced wherever ``p(c) = 0``.
 
 All functions are pure and inputs are treated as immutable, so concurrent
 use is safe.
@@ -34,7 +36,7 @@ __all__ = [
     "marginalize",
     "positive_part",
     "sample_joint",
-    "is_jointly_typical",
+    "typical_mask",
 ]
 
 # Mass / normalization tolerance for stored tensors.
@@ -241,47 +243,48 @@ def sample_joint(
     return JointPmf(names, flat.reshape(cards))
 
 
-def _coerce_symbols(seq: Any) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ProbError("sequences must be nonempty 1-d integer arrays")
-    return arr
+# Cap on the (words x cells) count block of one typical_mask pass, so the
+# kernel's extra memory beyond the (words, n) index array stays constant.
+_COUNT_BLOCK = 1 << 16
 
 
-def empirical_joint_counts(seqs: Mapping[str, Any], p: JointPmf) -> np.ndarray:
-    """Cell counts of the aligned symbol tuples of ``seqs`` over p's axes."""
-    arrays = []
-    n = None
-    for name in p.axes:
-        if name not in seqs:
-            raise ProbError(f"missing sequence for variable {name!r}")
-        arr = _coerce_symbols(seqs[name])
-        if n is None:
-            n = arr.size
-        elif arr.size != n:
-            raise ProbError(f"sequence length mismatch: {name!r} has {arr.size}, expected {n}")
-        card = p.card(name)
-        if np.any(arr < 0) or np.any(arr >= card):
-            raise ProbError(f"symbol out of range for {name!r} (cardinality {card})")
-        arrays.append(arr)
-    flat = np.ravel_multi_index(tuple(arrays), p.cards)
-    counts = np.bincount(flat, minlength=int(np.prod(p.cards)))
-    return counts.reshape(p.cards)
+def typical_mask(words: Mapping[str, Any], p: JointPmf, eps: float) -> np.ndarray:
+    """Strong typicality test of stacked aligned words against ``p``.
 
-
-def is_jointly_typical(seqs: Mapping[str, Any], p: JointPmf, eps: float) -> bool:
-    """Strong typicality test of aligned sequences against ``p``.
-
-    True iff every cell satisfies ``|freq(c) - p(c)| <= eps`` and no cell
-    with ``p(c) = 0`` occurs. ``eps = 0`` demands the exact empirical
-    distribution.
+    ``words`` maps every axis of ``p`` to an integer array of shape
+    ``(..., n)``; the leading shapes broadcast. Returns a boolean array of
+    the broadcast leading shape, True where every cell satisfies
+    ``|freq(c) - p(c)| <= eps`` and no cell with ``p(c) = 0`` occurs.
+    ``eps = 0`` demands the exact empirical distribution.
     """
     eps = float(eps)
     if eps < 0.0:
         raise ProbError("eps must be >= 0")
-    counts = empirical_joint_counts(seqs, p)
-    n = counts.sum()
-    freq = counts / n
-    if np.any(counts[p.probs == 0.0] > 0):
-        return False
-    return bool(np.all(np.abs(freq - p.probs) <= eps))
+    flat = None
+    for name in p.axes:
+        if name not in words:
+            raise ProbError(f"missing sequence for variable {name!r}")
+        arr = np.asarray(words[name], dtype=np.int64)
+        if arr.ndim == 0 or arr.shape[-1] == 0:
+            raise ProbError("words must be nonempty integer arrays of shape (..., n)")
+        if flat is not None and arr.shape[-1] != flat.shape[-1]:
+            raise ProbError(
+                f"sequence length mismatch: {name!r} has {arr.shape[-1]}, expected {flat.shape[-1]}"
+            )
+        card = p.card(name)
+        if np.any(arr < 0) or np.any(arr >= card):
+            raise ProbError(f"symbol out of range for {name!r} (cardinality {card})")
+        flat = arr if flat is None else flat * card + arr  # joint cell index; broadcasts
+    lead, n = flat.shape[:-1], flat.shape[-1]
+    flat = flat.reshape(-1, n)
+    cells = p.probs.ravel()
+    out = np.empty(flat.shape[0], dtype=bool)
+    step = max(1, _COUNT_BLOCK // cells.size)
+    for start in range(0, flat.shape[0], step):
+        block = flat[start : start + step]
+        offsets = np.arange(block.shape[0])[:, None] * cells.size
+        counts = np.bincount((block + offsets).ravel(), minlength=block.shape[0] * cells.size)
+        counts = counts.reshape(-1, cells.size)
+        ok = (np.abs(counts / n - cells) <= eps) & ((cells > 0.0) | (counts == 0))
+        out[start : start + step] = ok.all(axis=1)
+    return out.reshape(lead)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from itertools import product
@@ -26,7 +27,7 @@ from crcsec.binning import (
     scheme_counts,
     validate_scheme_rates,
 )
-from crcsec.channel import DiscreteCRC, orthogonal_channel, write_channel
+from crcsec.channel import DiscreteCRC, erasure_cascade_channel, orthogonal_channel, write_channel
 
 
 def degenerate_aux():
@@ -117,12 +118,13 @@ def test_encode_degenerate_unique_pair():
 def test_encode_eps_zero_usually_fails():
     ch, aux = _benchmark_setup()
     rates = derive_scheme_rates(ch, aux, r1=0.5, r21=0.0, r22=0.5, eps=0.2, n=8)
+    exact = dataclasses.replace(rates, eps=0.0)  # same codewords, zero slack
     fails = 0
     trials = 200
     for seed in range(trials):
-        cb = build_codebook(ch, aux, rates, seed=seed)
+        cb = build_codebook(ch, aux, exact, seed=seed)
         rng = np.random.default_rng(seed)
-        fails += encode(cb, 0, 0, 0, eps=0.0, rng=rng).failed
+        fails += encode(cb, 0, 0, 0, rng=rng).failed
     assert fails / trials > 0.9
 
 
@@ -253,6 +255,32 @@ def test_exact_equivocation_matches_brute_force_on_noisy_channel():
         slow = brute_force_equivocation(cb, ch, observer)
         assert abs(fast - slow) < 1e-10
         assert 0.0 <= fast <= math.log2(max(cb.counts["n_m1"], 1)) + 1e-12
+
+
+def test_encoder_covers_real_bins_on_erasure_cascade():
+    ch = erasure_cascade_channel(0.3)
+    _, aux = _benchmark_setup()  # U = X1
+    rates = derive_scheme_rates(ch, aux, r1=0.3, r21=0.0, r22=0.0, eps=0.1, n=6)
+    cb = build_codebook(ch, aux, rates, seed=3)
+    counts = cb.counts
+    assert counts["n_l1"] == 12
+    assert cb.typical.shape == (1, 1, 1, counts["n_m1"], 12)
+    assert not cb.typical.all()
+    # the table is the kernel's verdict on each word triple separately
+    eps = cb.rates.eps * np.count_nonzero(cb.p_x2vu.probs)
+    for m1, l1 in product(range(counts["n_m1"]), range(12)):
+        words = {"X2": cb.x2_words[0], "V": cb.v_words[0, 0, 0], "U": cb.u_words[m1, l1]}
+        assert cb.typical[0, 0, 0, m1, l1] == prob.typical_mask(words, cb.p_x2vu, eps)
+    picks = set()
+    for m1, k in product(range(counts["n_m1"]), range(10)):
+        res = encode(cb, m1, 0, 0, rng=np.random.default_rng(k))
+        assert res.failed or cb.typical[0, 0, res.l21, m1, res.l1]
+        picks.add(res.l1)
+    assert max(picks) > 0
+    for observer in ("m1_at_y2", "m2_at_y1"):
+        fast = exact_equivocation(cb, ch, observer)
+        slow = brute_force_equivocation(cb, ch, observer)
+        assert abs(fast - slow) < 1e-10
 
 
 def test_exact_equivocation_budget():

@@ -75,6 +75,24 @@ def test_gauss_hypothesis_violation_exits_2(tmp_path, capsys):
     assert "a*b" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("gauss", {"mode": "weak", "a": "x", "b": 0.5, "p1": 20, "p2": 20, "steps": 10}),
+        ("discrete", {"bound": "inner", "cards": "1,1,1,2", "samples": "abc", "seed": 0}),
+        ("check", {"condition": "semidet11", "samples": "abc", "seed": 0}),
+    ],
+)
+def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
+    write_channel(orthogonal_channel(), tmp_path / "orth.json")
+    if command != "gauss":
+        config = dict(config, channel=str(tmp_path / "orth.json"))
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gauss_perfect_secrecy_strong_interference_zero_r1(tmp_path):
     out = tmp_path / "cor"
     assert run(["gauss", "--mode", "cor3", "--a", 1, "--b", 2, "--p1", 20,

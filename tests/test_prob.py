@@ -12,11 +12,11 @@ from crcsec.prob import (
     ProbError,
     conditional_mutual_information,
     entropy,
-    is_jointly_typical,
     marginalize,
     mutual_information,
     positive_part,
     sample_joint,
+    typical_mask,
 )
 
 # high-precision oracle values (40-digit evaluation, rounded to double)
@@ -159,23 +159,30 @@ def test_sample_joint_flat_dirichlet_mean():
 def test_typicality_exact_and_support():
     p = uniform(2, 2, axes=("X", "Y"))
     seqs = {"X": [0, 0, 1, 1], "Y": [0, 1, 0, 1]}
-    assert is_jointly_typical(seqs, p, 1e-9)  # exact empirical distribution
+    assert typical_mask(seqs, p, 1e-9)  # exact empirical distribution
     ident = JointPmf(("X", "Y"), np.array([[0.5, 0.0], [0.0, 0.5]]))
-    assert not is_jointly_typical({"X": [0, 1], "Y": [1, 1]}, ident, 0.5)
+    assert not typical_mask({"X": [0, 1], "Y": [1, 1]}, ident, 0.5)
+    # a stack of Y words against one X word: one verdict per stacked word
+    stacked = typical_mask({"X": [0, 1], "Y": [[0, 1], [1, 1], [0, 0]]}, ident, 0.5)
+    assert stacked.tolist() == [True, False, False]
 
 
 def test_typicality_length_and_range_errors():
     p = uniform(2, 2, axes=("X", "Y"))
     with pytest.raises(ProbError):
-        is_jointly_typical({"X": [0, 1], "Y": [0]}, p, 0.1)
+        typical_mask({"X": [0, 1], "Y": [0]}, p, 0.1)
     with pytest.raises(ProbError):
-        is_jointly_typical({"X": [0, 2], "Y": [0, 1]}, p, 0.1)
+        typical_mask({"X": [0, 2], "Y": [0, 1]}, p, 0.1)
     with pytest.raises(ProbError):
-        is_jointly_typical({"X": [0, -1], "Y": [0, 1]}, p, 0.1)
+        typical_mask({"X": [0, -1], "Y": [0, 1]}, p, 0.1)
     with pytest.raises(ProbError):
-        is_jointly_typical({"X": [], "Y": []}, p, 0.1)
+        typical_mask({"X": [], "Y": []}, p, 0.1)
     with pytest.raises(ProbError):
-        is_jointly_typical({"X": [0, 1], "Y": [0, 1]}, p, -0.1)
+        typical_mask({"X": [0, 1], "Y": [0, 1]}, p, -0.1)
+    with pytest.raises(ProbError):
+        typical_mask({"X": [0, 1]}, p, 0.1)  # missing axis
+    with pytest.raises(ValueError):
+        typical_mask({"X": [[0, 1]] * 2, "Y": [[0, 1]] * 3}, p, 0.1)  # no broadcast
 
 
 def test_typicality_acceptance_rate_vs_multinomial_oracle():
@@ -200,12 +207,10 @@ def test_typicality_acceptance_rate_vs_multinomial_oracle():
     assert exact >= 0.5
     p = uniform(2, 2, axes=("X", "Y"))
     rng = np.random.default_rng(123)
-    hits = 0
     trials = 10_000
-    for _ in range(trials):
-        x = rng.integers(0, 2, n)
-        y = rng.integers(0, 2, n)
-        hits += is_jointly_typical({"X": x, "Y": y}, p, eps)
+    draws = [(rng.integers(0, 2, n), rng.integers(0, 2, n)) for _ in range(trials)]
+    x, y = (np.array(words) for words in zip(*draws))
+    hits = int(typical_mask({"X": x, "Y": y}, p, eps).sum())
     assert hits / trials >= 0.5
     assert abs(hits / trials - exact) < 4 * math.sqrt(exact * (1 - exact) / trials)
 
@@ -261,3 +266,68 @@ def test_memoized_informations_equal_one_shot_calls(p, queries):
         a, b, c = split(p.axes, role)
         assert info.i(a, b, c) == conditional_mutual_information(p, a, b, c)
         assert info.h(a + c) == entropy(p, a + c)
+
+
+def loop_typical(words, p, eps):
+    """Oracle: per stacked word, count the cells in a dict and test each."""
+    arrays = np.broadcast_arrays(*(np.asarray(words[name]) for name in p.axes))
+    out = np.zeros(arrays[0].shape[:-1], dtype=bool)
+    for idx in np.ndindex(out.shape):
+        columns = [a[idx] for a in arrays]
+        n = len(columns[0])
+        counts = {}
+        for t in range(n):
+            cell = tuple(int(c[t]) for c in columns)
+            counts[cell] = counts.get(cell, 0) + 1
+        out[idx] = all(
+            abs(counts.get(cell, 0) / n - p.probs[cell]) <= eps
+            and (p.probs[cell] > 0.0 or cell not in counts)
+            for cell in np.ndindex(p.cards)
+        )
+    return out
+
+
+@st.composite
+def typicality_cases(draw):
+    """Small pmfs with zero cells, broadcastable word stacks, eps from 0."""
+    names = ("A", "B", "C")[: draw(st.integers(1, 3))]
+    cards = tuple(draw(st.integers(1, 3)) for _ in names)
+    size = int(np.prod(cards))
+    # small integer weights give rational cells that words can hit exactly
+    weights = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size).filter(any))
+    probs = np.asarray(weights, dtype=float).reshape(cards)
+    p = JointPmf(names, probs / probs.sum())
+    n = draw(st.integers(1, 6))
+    lead = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+    words = {}
+    for name, card in zip(names, cards):
+        # keep a suffix of the leading shape, with some dimensions set to 1
+        kept = lead[draw(st.integers(0, len(lead))):]
+        shape = tuple(d if draw(st.booleans()) else 1 for d in kept) + (n,)
+        symbols = draw(st.lists(st.integers(0, card - 1), min_size=int(np.prod(shape)),
+                                max_size=int(np.prod(shape))))
+        words[name] = np.asarray(symbols, dtype=np.int64).reshape(shape)
+    eps = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5]) | st.floats(0.0, 1.0))
+    return words, p, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=typicality_cases())
+def test_typical_mask_equals_loop_oracle(case):
+    words, p, eps = case
+    mask = typical_mask(words, p, eps)
+    expected = loop_typical(words, p, eps)
+    assert mask.dtype == bool and mask.shape == expected.shape
+    assert np.array_equal(mask, expected)
+
+
+def test_typical_mask_across_count_blocks_matches_single_words():
+    # 27 cells and 3000 words: more words than one count block holds
+    p = sample_joint([("A", 3), ("B", 3), ("C", 3)], seed=0)
+    rng = np.random.default_rng(1)
+    flat = rng.choice(27, size=(3000, 8), p=p.probs.ravel())
+    words = dict(zip(p.axes, np.unravel_index(flat, p.cards)))
+    mask = typical_mask(words, p, 0.2)
+    single = [typical_mask({k: w[i] for k, w in words.items()}, p, 0.2) for i in range(3000)]
+    assert 0 < mask.sum() < 3000
+    assert mask.tolist() == single
