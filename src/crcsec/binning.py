@@ -42,7 +42,6 @@ from pathlib import Path
 from typing import Any
 
 import numpy as np
-from scipy.stats import beta as _beta_dist
 
 from .channel import ChannelError, DiscreteCRC, load_channel
 from .prob import Informations, JointPmf, marginalize, positive_part, typical_mask
@@ -383,6 +382,7 @@ def sample_outputs(
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
+    from scipy.stats import beta as _beta_dist  # here: importing it takes over a second
     alpha = 1.0 - conf
     lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2, k, n - k + 1))
     hi = 1.0 if k == n else float(_beta_dist.ppf(1 - alpha / 2, k + 1, n - k))

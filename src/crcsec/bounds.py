@@ -28,7 +28,7 @@ import numpy as np
 
 from .channel import DiscreteCRC, detect_semi_deterministic, induce_joint
 from .prob import Informations, JointPmf, sample_joint
-from .region import RatePoint, Region, merge_frontier, pareto_filter
+from .region import RatePoint, Region, _skyline, pareto_filter
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
 # channels satisfying an ordering termwise (e.g. identical outputs) yield
@@ -36,6 +36,7 @@ from .region import RatePoint, Region, merge_frontier, pareto_filter
 CAP_SNAP_TOL = 1e-9
 CONDITION_TOL = 1e-9
 MAX_ENUMERATED_MAPS = 256
+SEARCH_CHUNK = 256  # new frontier points collected between two skyline merges
 
 
 class BoundsError(ValueError):
@@ -365,8 +366,13 @@ def structured_candidates(
             yield _assigned_joint(axes, x1_dist, u2, funcs)
 
 
-def _sample_seed(master: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((int(master), int(index)))
+def _candidates(
+    structured: Iterable[JointPmf], axes: list[tuple[str, int]], samples: int, seed: int
+) -> Iterator[tuple[str, int, JointPmf]]:
+    """``(source, index, joint)``: the ``structured`` joints, then seeded flat-Dirichlet draws."""
+    yield from (("structured", i, joint) for i, joint in enumerate(structured))
+    for i in range(samples):
+        yield "sample", i, sample_joint(axes, np.random.SeedSequence((int(seed), i)))
 
 
 def search_region(
@@ -381,8 +387,9 @@ def search_region(
 
     Evaluates the bound at the structured candidates and then at ``samples``
     flat-Dirichlet draws (per-draw seeds derived from ``(seed, index)``, so
-    enlarging ``samples`` only ever adds points). Each frontier point's
-    ``meta`` records the achieving distribution.
+    enlarging ``samples`` only ever adds points). The frontier is the exact
+    maximal set of all their vertices: no 12-decimal merge, and of equal
+    points the first found wins, its ``meta`` recording the distribution.
     """
     bound = parse_bound(bound) if isinstance(bound, str) else bound
     if samples < 0:
@@ -392,21 +399,15 @@ def search_region(
     axes = [(n, resolved[n]) for n in BOUNDS[bound].aux_axes]
     axes += [("X1", cx1), ("X2", cx2)]
     dims = bound_dims(bound, secrecy)
+    zeroed = {} if secrecy else {"re1": 0.0, "re2": 0.0}
     frontier: list[RatePoint] = []
-
-    def add(joint: JointPmf, source: str, index: int) -> None:
-        points = bound_point(ch, bound, joint)
-        if not secrecy:
-            points = [replace(p, re1=0.0, re2=0.0) for p in points]
+    new: list[RatePoint] = []
+    for source, index, joint in _candidates(structured_candidates(ch, axes), axes, samples, seed):
         meta = {"source": source, "index": index, "aux": joint}
-        merge_frontier(frontier, [replace(p, meta=meta) for p in points], dims)
-
-    for i, joint in enumerate(structured_candidates(ch, axes)):
-        add(joint, "structured", i)
-    for i in range(samples):
-        add(sample_joint(axes, _sample_seed(seed, i)), "sample", i)
-    frontier.sort(key=lambda p: p.coords(dims), reverse=True)
-    return Region(tuple(frontier), dims)
+        new += [replace(p, meta=meta, **zeroed) for p in bound_point(ch, bound, joint)]
+        if len(new) >= SEARCH_CHUNK:  # the running frontier goes first: it was found first
+            frontier, new = _skyline(frontier + new, dims), []
+    return Region(tuple(_skyline(frontier + new, dims)), dims)
 
 
 class Condition(str, Enum):
@@ -542,20 +543,11 @@ def check_condition(
     }
     axes = [(n, cards[n]) for n in CONDITIONS[cond].aux_axes]
     axes += [("X1", cx1), ("X2", cx2)]
-    best_gap = -np.inf
-    witness: JointPmf | None = None
-    count = 0
-
-    def consider(joint: JointPmf) -> None:
-        nonlocal best_gap, witness, count
-        count += 1
+    joints = _candidates(_deterministic_map_candidates(ch, axes, seed), axes, samples, seed)
+    best_gap, witness, count = -np.inf, None, 0
+    for count, (_, _, joint) in enumerate(joints, 1):
         gap = condition_gap(ch, cond, joint)
         if gap > best_gap:
             best_gap, witness = gap, joint
-
-    for joint in _deterministic_map_candidates(ch, axes, seed):
-        consider(joint)
-    for i in range(samples):
-        consider(sample_joint(axes, _sample_seed(seed, i)))
     assert witness is not None
     return ConditionReport(cond, float(best_gap), witness, count)

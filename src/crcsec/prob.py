@@ -133,17 +133,19 @@ def _as_name_set(vars_: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(vars_)
 
 
-def marginalize(p: JointPmf, keep: str | Iterable[str]) -> JointPmf:
-    """Marginal of ``p`` onto the ``keep`` variables (original axis order)."""
+def _sum_onto(p: JointPmf, keep: str | Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
     keep_set = set(_as_name_set(keep))
     for name in keep_set:
         p.axis_index(name)  # raises on unknown
     if not keep_set:
         raise ProbError("must keep at least one variable")
     drop = tuple(i for i, a in enumerate(p.axes) if a not in keep_set)
-    probs = p.probs.sum(axis=drop) if drop else p.probs
-    axes = tuple(a for a in p.axes if a in keep_set)
-    return JointPmf(axes, probs)
+    return tuple(a for a in p.axes if a in keep_set), p.probs.sum(axis=drop) if drop else p.probs
+
+
+def marginalize(p: JointPmf, keep: str | Iterable[str]) -> JointPmf:
+    """Marginal of ``p`` onto the ``keep`` variables (original axis order)."""
+    return JointPmf(*_sum_onto(p, keep))
 
 
 def _entropy_of(pmf_tensor: np.ndarray) -> float:
@@ -153,11 +155,11 @@ def _entropy_of(pmf_tensor: np.ndarray) -> float:
 
 
 def entropy(p: JointPmf, vars_: str | Iterable[str]) -> float:
-    """Joint Shannon entropy H(vars) in bits."""
+    """Joint Shannon entropy H(vars) in bits (the marginal is not re-validated)."""
     names = _as_name_set(vars_)
     if not names:
         raise ProbError("entropy requires a nonempty variable set")
-    return _entropy_of(marginalize(p, names).probs)
+    return _entropy_of(_sum_onto(p, names)[1])
 
 
 class Informations:

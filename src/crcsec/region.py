@@ -6,6 +6,11 @@ carry up to four coordinates (R1, R2, Re1, Re2); a region's ``dims`` names
 the coordinates that are active (regions without a secrecy guarantee for
 one message drop the corresponding equivocation coordinate).
 
+One sort-based skyline kernel computes every frontier: ``pareto_filter``
+(so ``merge``, ``project``, ``convexify_2d``) first merges points that agree
+to 12 decimals, ``bounds.search_region`` keeps exact ties; of equal points
+the first occurrence, with its ``meta``, wins.
+
 CSV export: header lists active dims (``R1,R2,Re1,Re2`` subset), values at
 9 decimal digits, rows in lexicographically descending order; re-import
 round-trips within 1e-9.
@@ -19,11 +24,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
+
 DIM_FIELDS = ("r1", "r2", "re1", "re2")
 DIM_HEADERS = {"r1": "R1", "r2": "R2", "re1": "Re1", "re2": "Re2"}
 HEADER_DIMS = {v: k for k, v in DIM_HEADERS.items()}
 COORD_TOL = 1e-9
 DEDUPE_DECIMALS = 12
+SKYLINE_BLOCK = 256  # rows per numpy dominance test
+_EARLIER = np.triu(np.ones((SKYLINE_BLOCK, SKYLINE_BLOCK), dtype=bool), 1)  # [j, i]: j < i
 
 
 class RegionError(ValueError):
@@ -65,11 +74,7 @@ class Region:
     dims: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        dims = tuple(self.dims)
-        unknown = [d for d in dims if d not in DIM_FIELDS]
-        if unknown or not dims:
-            raise RegionError(f"invalid dims {dims}")
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", _check_dims(self.dims))
         object.__setattr__(self, "frontier", tuple(self.frontier))
 
     def __len__(self) -> int:
@@ -88,40 +93,46 @@ def dominates(p: RatePoint, q: RatePoint, dims: Iterable[str] = DIM_FIELDS) -> b
     return all(getattr(p, d) >= getattr(q, d) for d in _check_dims(dims))
 
 
-def _dedupe(points: Iterable[RatePoint], dims: tuple[str, ...]) -> list[RatePoint]:
-    seen: dict[tuple[float, ...], RatePoint] = {}
-    for p in points:
-        key = tuple(round(c, DEDUPE_DECIMALS) for c in p.coords(dims))
-        if key not in seen:
-            seen[key] = p
-    return list(seen.values())
+def _coords(points: Iterable[RatePoint], dims: tuple[str, ...]) -> np.ndarray:
+    return np.array([p.coords(dims) for p in points], dtype=float).reshape(-1, len(dims))
 
 
-def merge_frontier(
-    frontier: list[RatePoint], new_points: Iterable[RatePoint], dims: tuple[str, ...]
-) -> list[RatePoint]:
-    """Incrementally merge points into a maximal antichain (in place)."""
-    for p in new_points:
-        pc = p.coords(dims)
-        dominated = False
-        for q in frontier:
-            if all(a >= b for a, b in zip(q.coords(dims), pc)):
-                dominated = True
-                break
-        if dominated:
-            continue
-        frontier[:] = [q for q in frontier if not all(a >= b for a, b in zip(pc, q.coords(dims)))]
-        frontier.append(p)
-    return frontier
+def _ge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``m[i, j]`` is True iff ``a[i] >= b[j]`` on every coordinate."""
+    m = a[:, None, 0] >= b[None, :, 0]
+    for c in range(1, a.shape[1]):  # one 2-D test per coordinate: no 3-D temporary
+        m &= a[:, None, c] >= b[None, :, c]
+    return m
+
+
+def _skyline(points: list[RatePoint], dims: tuple[str, ...]) -> list[RatePoint]:
+    """Maximal points in descending lexicographic order (the one frontier kernel).
+
+    After a stable descending sort only an earlier row can dominate a later
+    one, so (dominance being transitive) a row is maximal iff no earlier row
+    dominates it; ties count, so of equal rows the first wins. Each block of
+    rows is tested at once against the rows kept before it and its own.
+    """
+    rows = _coords(points, dims)
+    order = np.lexsort(-rows.T[::-1])
+    rows = rows[order]
+    keep = np.zeros(len(rows), dtype=bool)
+    for lo in range(0, len(rows), SKYLINE_BLOCK):
+        block = rows[lo : lo + SKYLINE_BLOCK]
+        beaten = (_ge(block, block) & _EARLIER[: len(block), : len(block)]).any(axis=0)
+        if lo:
+            beaten |= _ge(rows[:lo][keep[:lo]], block).any(axis=0)
+        keep[lo : lo + SKYLINE_BLOCK] = ~beaten
+    return [points[i] for i in order[keep]]
 
 
 def pareto_filter(points: Iterable[RatePoint], dims: Iterable[str] = DIM_FIELDS) -> Region:
-    """Maximal antichain of ``points`` under componentwise dominance."""
+    """Maximal antichain of ``points``, after merging 12-decimal duplicates."""
     dims = _check_dims(dims)
-    frontier: list[RatePoint] = []
-    merge_frontier(frontier, _dedupe(points, dims), dims)
-    frontier.sort(key=lambda p: p.coords(dims), reverse=True)
-    return Region(tuple(frontier), dims)
+    distinct: dict[tuple[float, ...], RatePoint] = {}
+    for p in points:
+        distinct.setdefault(tuple(round(c, DEDUPE_DECIMALS) for c in p.coords(dims)), p)
+    return Region(tuple(_skyline(list(distinct.values()), dims)), dims)
 
 
 def merge(a: Region, b: Region) -> Region:
@@ -140,18 +151,16 @@ def project(region: Region, dims: Iterable[str]) -> Region:
 
 def contains_point(region: Region, p: RatePoint, tol: float = 0.0) -> bool:
     """True iff some frontier point dominates ``p`` after a +tol shift."""
-    pc = p.coords(region.dims)
-    return any(
-        all(qc + tol >= c for qc, c in zip(q.coords(region.dims), pc))
-        for q in region.frontier
-    )
+    return inclusion_fraction(Region((p,), region.dims), region, tol) == 1.0
 
 
 def inclusion_fraction(a: Region, b: Region, tol: float) -> float:
     """Fraction of A's frontier points contained in B (empty A -> 1)."""
     if not a.frontier:
         return 1.0
-    hits = sum(1 for p in a.frontier if contains_point(b, p, tol))
+    front, pts = _coords(b.frontier, b.dims) + tol, _coords(a.frontier, b.dims)
+    blocks = range(0, len(pts), SKYLINE_BLOCK)
+    hits = sum(int(_ge(front, pts[lo : lo + SKYLINE_BLOCK]).any(axis=0).sum()) for lo in blocks)
     return hits / len(a.frontier)
 
 
@@ -171,32 +180,28 @@ def convexify_2d(region: Region) -> Region:
     if not region.frontier:
         return region
     pts = list(region.frontier)
-    max_x = max(getattr(p, dx) for p in pts)
-    max_y = max(getattr(p, dy) for p in pts)
+    max_x, max_y = max(getattr(p, dx) for p in pts), max(getattr(p, dy) for p in pts)
     anchors = [RatePoint(**{dx: max_x, dy: 0.0}), RatePoint(**{dx: 0.0, dy: max_y})]
-    candidates = _dedupe(pts + anchors, region.dims)
-    candidates.sort(key=lambda p: (getattr(p, dx), -getattr(p, dy)))
+    # Reversed, the filtered candidates run by increasing x (and decreasing
+    # y); dominated anchors are gone, so the hull is already an antichain.
     hull: list[RatePoint] = []
-    for p in candidates:
+    for p in reversed(pareto_filter(pts + anchors, region.dims).frontier):
         while len(hull) >= 2 and _cross(
             hull[-2].coords(region.dims), hull[-1].coords(region.dims), p.coords(region.dims)
         ) >= 0.0:
             hull.pop()
         hull.append(p)
-    # An anchor coinciding in one coordinate with a frontier point is
-    # dominated; the final filter drops exactly those.
-    return pareto_filter(hull, region.dims)
+    return Region(tuple(reversed(hull)), region.dims)
 
 
 def hull_contains_2d(hull: Region, p: RatePoint, tol: float = 0.0) -> bool:
     """Membership of ``p`` in the downward closure of a convexified frontier."""
     if len(hull.dims) != 2:
         raise RegionError("hull membership is defined for 2-dim regions")
-    dx, dy = hull.dims
-    px, py = getattr(p, dx), getattr(p, dy)
+    px, py = p.coords(hull.dims)
     if contains_point(hull, p, tol):
         return True
-    pts = sorted((getattr(q, dx), getattr(q, dy)) for q in hull.frontier)
+    pts = sorted(q.coords(hull.dims) for q in hull.frontier)
     for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
         if x0 - tol <= px <= x1 + tol:
             if x1 == x0:
@@ -250,12 +255,13 @@ def import_csv(path: str | Path) -> Region:
         except StopIteration:
             raise RegionError(f"empty region file {path}") from None
         dims = tuple(HEADER_DIMS.get(h.strip(), "") for h in headers)
-        if any(not d for d in dims):
-            raise RegionError(f"unknown CSV headers {headers}")
+        if any(not d for d in dims) or len(set(dims)) != len(dims):
+            raise RegionError(f"{path}, line 1: unknown or repeated CSV headers {headers}")
         points = []
         for row in reader:
             if not row:
                 continue
-            vals = dict(zip(dims, (float(v) for v in row)))
-            points.append(RatePoint(**vals))
+            if len(row) != len(dims):
+                raise RegionError(f"{path}, line {reader.line_num}: expected {len(dims)} values")
+            points.append(RatePoint(**dict(zip(dims, (float(v) for v in row)))))
     return Region(tuple(points), dims)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crcsec import prob
+from crcsec import bounds, prob
 from crcsec.bounds import (
+    BOUNDS,
+    SEARCH_CHUNK,
     AuxAssignment,
     BoundKind,
     BoundsError,
@@ -18,6 +20,7 @@ from crcsec.bounds import (
     parse_bound,
     search_region,
     structured_candidates,
+    _candidates,
 )
 from crcsec.channel import erasure_cascade_channel, orthogonal_channel, xor_channel
 from crcsec.region import RatePoint, dominates
@@ -210,6 +213,31 @@ def test_search_frontier_monotone_in_samples(kind, channel, samples, seed):
     big = search_region(ch, kind, cards=cards, samples=2 * samples, seed=seed)
     for p in small.frontier:
         assert any(dominates(q, p, small.dims) for q in big.frontier)
+
+
+@pytest.mark.parametrize("chunk", [SEARCH_CHUNK, 1])
+def test_search_equals_exact_maximal_set_across_chunks(chunk, monkeypatch):
+    """All candidates' vertices at once: exact ties, the first found wins.
+
+    With one point per chunk, ties between the running frontier and later
+    points occur, so the merge order is checked as well.
+    """
+    monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
+    ch, kind, cards, samples, seed = xor_channel(), BoundKind.SEMIDET, SearchCards(), 300, 5
+    reg = search_region(ch, kind, cards=cards, samples=samples, seed=seed)
+    resolved = cards.resolved(ch)
+    axes = [(n, resolved[n]) for n in BOUNDS[kind].aux_axes] + [("X1", 2), ("X2", 2)]
+    joints = _candidates(structured_candidates(ch, axes), axes, samples, seed)
+    found = [((src, i), p.coords(reg.dims)) for src, i, j in joints for p in bound_point(ch, kind, j)]
+    assert len(found) > 2 * SEARCH_CHUNK
+    c = np.array([coords for _, coords in found])
+    ge = (c[:, None, :] >= c[None, :, :]).all(axis=2)  # ge[j, i]: j dominates i
+    eq = (c[:, None, :] == c[None, :, :]).all(axis=2)
+    earlier = np.triu(np.ones_like(eq), 1)
+    maximal = ~((ge & ~eq) | (eq & earlier)).any(axis=0)
+    want = sorted((found[i][1], found[i][0]) for i in np.flatnonzero(maximal))[::-1]
+    got = [(p.coords(reg.dims), (p.meta["source"], p.meta["index"])) for p in reg.frontier]
+    assert got == want
 
 
 def test_search_zero_samples_uses_structured_candidates():

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from crcsec.accept import brute_force_frontier
 from crcsec.region import (
+    DEDUPE_DECIMALS,
+    DIM_FIELDS,
     RatePoint,
     Region,
     RegionError,
@@ -63,6 +68,48 @@ def test_pareto_filter_idempotent_and_brute_force():
         assert not any(c != ci and all(a >= b for a, b in zip(c, ci)) for c in coords)
     for ci in coords:
         assert any(all(a >= b for a, b in zip(f, ci)) for f in frontier)
+
+
+@st.composite
+def tie_heavy_points(draw):
+    """Active dims plus points on a k/3 grid, nudged by 4e-16 or 1e-13, with repeats."""
+    dims = draw(
+        st.sampled_from([("r1",), ("re2",), ("r1", "r2"), ("r2", "re1"), ("r1", "r2", "re1"), DIM_FIELDS])
+    )
+    grid = st.builds(
+        lambda k, nudge: max(k / 3 + nudge, 0.0),
+        st.integers(0, 6),
+        st.sampled_from([0.0, 0.0, 4e-16, -4e-16, 1e-13, -1e-13]),
+    )
+    rows = draw(st.lists(st.tuples(grid, grid, grid, grid), max_size=40))
+    points = [P(r1, r2, min(e1, r1), min(e2, r2)) for r1, r2, e1, e2 in rows]
+    repeats = draw(st.lists(st.integers(0, max(len(points) - 1, 0)), max_size=10)) if points else []
+    points += [points[i] for i in repeats]
+    return dims, [P(*p.coords(DIM_FIELDS), meta=i) for i, p in enumerate(points)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tie_heavy_points())
+def test_pareto_filter_matches_brute_force_on_ties(case):
+    dims, points = case
+    first: dict[tuple[float, ...], RatePoint] = {}
+    for p in points:
+        first.setdefault(tuple(round(c, DEDUPE_DECIMALS) for c in p.coords(dims)), p)
+    reg = pareto_filter(points, dims)
+    got = [p.coords(dims) for p in reg.frontier]
+    assert set(got) == brute_force_frontier(list(first.values()), dims)
+    assert got == sorted(got, reverse=True)
+    # antichain: no frontier point dominates another
+    for i, p in enumerate(reg.frontier):
+        assert not any(dominates(q, p, dims) for j, q in enumerate(reg.frontier) if j != i)
+    # the first occurrence of each 12-decimal key keeps its meta
+    for p in reg.frontier:
+        assert first[tuple(round(c, DEDUPE_DECIMALS) for c in p.coords(dims))] is p
+    # idempotent, metas included
+    again = pareto_filter(reg.frontier, dims)
+    assert [(p.coords(dims), p.meta) for p in again.frontier] == [
+        (p.coords(dims), p.meta) for p in reg.frontier
+    ]
 
 
 def test_merge_dominates_both_inputs():
@@ -165,3 +212,20 @@ def test_export_empty_and_singleton(tmp_path):
     assert (tmp_path / "empty.csv").read_text() == "R1,R2\n"
     export_csv(pareto_filter([P(0.5, 0.25)], ("r1", "r2")), tmp_path / "one.csv")
     assert (tmp_path / "one.csv").read_text() == "R1,R2\n0.500000000,0.250000000\n"
+
+
+def test_import_rejects_ragged_rows(tmp_path):
+    path = tmp_path / "ragged.csv"
+    path.write_text("R1,R2\n0.5\n")
+    with pytest.raises(RegionError, match="line 2"):
+        import_csv(path)
+    path.write_text("R1,R2\n0.4,0.1\n0.2,0.3,0.9\n")
+    with pytest.raises(RegionError, match="line 3"):
+        import_csv(path)
+
+
+def test_import_rejects_repeated_header(tmp_path):
+    path = tmp_path / "repeated.csv"
+    path.write_text("R1,R2,R1\n0.5,0.2,0.5\n")
+    with pytest.raises(RegionError, match="repeated"):
+        import_csv(path)
