@@ -269,7 +269,12 @@ def brute_force_equivocation(cb: binning.Codebook, ch: channel.DiscreteCRC, obse
             for m1 in range(n_m1):
                 row = m1 if observer == "m1_at_y2" else m22 * n_m21 + m21
                 w_msg = 1.0 / (n_m21 * n_m22) if observer == "m1_at_y2" else 1.0 / n_m1
-                pairs = binning._typical_pairs(cb, m1, m21, m22) or [(0, 0)]
+                pairs = [
+                    (l21, l1)
+                    for l21 in range(counts["n_l21"])
+                    for l1 in range(counts["n_l1"])
+                    if cb.typical[m22, m21, l21, m1, l1]
+                ] or [(0, 0)]
                 for l21, l1 in pairs:
                     x1w = cb.x1_words[m22, m21, l21, m1, l1]
                     x2w = cb.x2_words[m22]

@@ -19,9 +19,11 @@ reintroduces W by enlarging the X2 alphabet):
 - decoding: receiver 1 looks for a unique message with a typical (U, Y1)
   pair; receiver 2 for a unique (m22, m21) with a typical (X2, V, Y2)
   triple.
-- equivocation: computed exactly at small n by enumerating observation
-  sequences and marginalizing messages and the encoder's uniform bin
-  choice, conditional on the realized codebook.
+- equivocation: computed exactly at small n, conditional on the realized
+  codebook, as one weighted sum over every word the encoder can send
+  (weight: uniform message times the encoder's uniform bin choice). Each
+  word's likelihood of all ``|Y|^n`` observation sequences is built on
+  that lattice from per-position factors; ``exact_budget`` bounds ``|Y|^n``.
 
 Typicality is the stacked kernel :func:`~crcsec.prob.typical_mask` with
 the per-cell tolerance scaled by the distribution's support size
@@ -37,18 +39,18 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .channel import ChannelError, DiscreteCRC, load_channel
+from .channel import ChannelError, DiscreteCRC, induce_joint, load_channel
 from .prob import Informations, JointPmf, marginalize, positive_part, typical_mask
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
 DEFAULT_MAX_SEQUENCES = 1 << 20
+_LATTICE_BLOCK = 1 << 16  # likelihood-lattice floats per block of words
 
 
 class SimError(ValueError):
@@ -84,12 +86,16 @@ class SchemeInformations:
     i_u_vx2: float
 
 
-def compute_scheme_informations(ch: DiscreteCRC, aux: JointPmf) -> SchemeInformations:
-    from .bounds import AuxAssignment  # local import to avoid a cycle
+def _extended(ch: DiscreteCRC, aux: JointPmf) -> JointPmf:
+    """The scheme's auxiliary joint, which must carry V and U, pushed through the channel."""
+    missing = [name for name in ("V", "U") if not aux.has_axes([name])]
+    if missing:
+        raise SimError(f"auxiliary joint lacks axes {missing}")
+    return induce_joint(ch, aux)
 
-    asg = AuxAssignment(ch, aux)
-    asg.require_axes(["V", "U"])
-    i = Informations(asg.extended).i
+
+def compute_scheme_informations(ch: DiscreteCRC, aux: JointPmf) -> SchemeInformations:
+    i = Informations(_extended(ch, aux)).i
     return SchemeInformations(
         i_u_y1=i("U", "Y1"),
         i_u_y2vx2=i("U", ("Y2", "V", "X2")),
@@ -253,10 +259,7 @@ def build_codebook(
     max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> Codebook:
     """Draw the nested random codebook; deterministic for a fixed seed."""
-    from .bounds import AuxAssignment
-
-    asg = AuxAssignment(ch, aux)
-    asg.require_axes(["V", "U"])
+    ext = _extended(ch, aux)
     counts = scheme_counts(rates)
     n = rates.n
     n_m1, n_l1 = counts["n_m1"], counts["n_l1"]
@@ -294,7 +297,6 @@ def build_codebook(
     ]
     x1_words = _sample_categorical(rng, x1_probs)
 
-    ext = asg.extended
     return Codebook(
         rates=rates,
         aux=aux,
@@ -320,12 +322,6 @@ class EncodeResult:
     failed: bool
 
 
-def _typical_pairs(cb: Codebook, m1: int, m21: int, m22: int) -> list[tuple[int, int]]:
-    """The typical (l21, l1) bin pairs of a message, l21-major."""
-    l21s, l1s = np.nonzero(cb.typical[m22, m21, :, m1, :])
-    return list(zip(l21s.tolist(), l1s.tolist()))
-
-
 def encode(
     cb: Codebook,
     m1: int,
@@ -338,10 +334,10 @@ def encode(
     if not (0 <= m1 < counts["n_m1"] and 0 <= m21 < counts["n_m21"] and 0 <= m22 < counts["n_m22"]):
         raise SimError(f"message index out of range: {(m1, m21, m22)}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    pairs = _typical_pairs(cb, m1, m21, m22)
-    if not pairs:
+    pairs = np.argwhere(cb.typical[m22, m21, :, m1, :])  # (l21, l1), l21-major
+    if not len(pairs):
         return EncodeResult(cb.x1_words[m22, m21, 0, m1, 0], 0, 0, failed=True)
-    l21, l1 = pairs[int(rng.integers(len(pairs)))]
+    l21, l1 = pairs[int(rng.integers(len(pairs)))].tolist()
     return EncodeResult(cb.x1_words[m22, m21, l21, m1, l1], l21, l1, failed=False)
 
 
@@ -398,41 +394,53 @@ def exact_equivocation(
     """H(message | observed block) in bits, exactly, for the fixed codebook.
 
     ``observer`` is ``"m1_at_y2"`` (secrecy of the cognitive message
-    against receiver 2) or ``"m2_at_y1"``. Enumerates every observable
-    sequence, with messages uniform and the encoder's uniform choice over
-    its typical bin pairs marginalized exactly; encoding failures transmit
-    the fixed arbitrary codeword, exactly as :func:`encode` does.
+    against receiver 2) or ``"m2_at_y1"``. One weighted sum over every word
+    the encoder can send: messages are uniform, the encoder's choice is
+    uniform over a message's typical bin pairs, and an encoding failure
+    sends the fixed arbitrary codeword, exactly as :func:`encode` does.
+    Each word's likelihood of every observable sequence is the product of
+    its per-position factors on the ``|Y|^n`` lattice.
     """
     counts = cb.counts
     n = cb.n
-    cy1, cy2 = ch.cards[2], ch.cards[3]
+    n_m1, n_m21, n_m22 = counts["n_m1"], counts["n_m21"], counts["n_m22"]
     if observer == "m1_at_y2":
-        obs_card, p_obs = cy2, ch.y2_marginal()
-        n_rows = counts["n_m1"]
+        obs_card, p_obs = ch.cards[3], ch.y2_marginal()
+        n_rows, w_msg = n_m1, 1.0 / (n_m21 * n_m22)
     elif observer == "m2_at_y1":
-        obs_card, p_obs = cy1, ch.y1_marginal()
-        n_rows = counts["n_m22"] * counts["n_m21"]
+        obs_card, p_obs = ch.cards[2], ch.y1_marginal()
+        n_rows, w_msg = n_m22 * n_m21, 1.0 / n_m1
     else:
         raise SimError(f"unknown observer {observer!r}")
     total = obs_card**n
     if total > budget:
         raise BudgetError(f"|Y|^n = {total} exceeds the exact-enumeration budget {budget}")
-    ys = np.array(list(product(range(obs_card), repeat=n)), dtype=np.int64)
-    pos = np.arange(n)
+    # Sendable words on the [m22, m21, m1, l21, l1] grid; a message with no
+    # typical pair sends its (0, 0) word.
+    sendable = cb.typical.transpose(0, 1, 3, 2, 4).copy()
+    sendable[:, :, :, 0, 0] |= ~sendable.any(axis=(3, 4))
+    n_pairs = sendable.sum(axis=(3, 4))
+    m22, m21, m1, l21, l1 = np.nonzero(sendable)
+    weights = w_msg / n_pairs[m22, m21, m1]
+    rows = m1 if observer == "m1_at_y2" else m22 * n_m21 + m21
     lik = np.zeros((n_rows, total))
-    n_m1, n_m21, n_m22 = counts["n_m1"], counts["n_m21"], counts["n_m22"]
-    for m22, m21, m1 in product(range(n_m22), range(n_m21), range(n_m1)):
-        if observer == "m1_at_y2":
-            row, w_msg = m1, 1.0 / (n_m21 * n_m22)
-        else:
-            row, w_msg = m22 * n_m21 + m21, 1.0 / n_m1
-        pairs = _typical_pairs(cb, m1, m21, m22) or [(0, 0)]
-        w = w_msg / len(pairs)
-        x2w = cb.x2_words[m22]
-        for l21, l1 in pairs:
-            x1w = cb.x1_words[m22, m21, l21, m1, l1]
-            per_symbol = p_obs[x1w, x2w]  # (n, obs_card)
-            lik[row] += w * np.prod(per_symbol[pos[None, :], ys], axis=1)
+    cells = np.arange(total)
+    block = max(1, _LATTICE_BLOCK // total)
+    for lo in range(0, len(rows), block):
+        sl = slice(lo, lo + block)
+        factors = p_obs[cb.x1_words[m22[sl], m21[sl], l21[sl], m1[sl], l1[sl]], cb.x2_words[m22[sl]]]
+        prod = factors[:, 0, :]  # P(y_0..y_t | word), left to right, y_0 most significant
+        for t in range(1, n):
+            # one product per output letter: a broadcast over a length-|Y|
+            # inner axis is several times slower
+            step = np.empty(prod.shape + (obs_card,))
+            for y in range(obs_card):
+                np.multiply(prod, factors[:, t, y, None], out=step[:, :, y])
+            prod = step.reshape(len(prod), -1)
+        # unbuffered adds in word order, so each row sums its words in the
+        # order of the message and bin-pair loops
+        cell_index = (rows[sl, None] * total + cells).ravel()
+        np.add.at(lik.reshape(-1), cell_index, (weights[sl, None] * prod).ravel())
     p_joint = lik / n_rows
     p_y = p_joint.sum(axis=0)
     mask = p_joint > 0.0

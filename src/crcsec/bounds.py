@@ -19,7 +19,7 @@ distribution was found at the given sampling effort, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
@@ -45,31 +45,6 @@ class BoundsError(ValueError):
 
 def _clip_rate(x: float) -> float:
     return x if x > CAP_SNAP_TOL else 0.0
-
-
-@dataclass(frozen=True)
-class AuxAssignment:
-    """An auxiliary joint plus its channel-extended version, cached."""
-
-    channel: DiscreteCRC
-    joint: JointPmf
-    extended: JointPmf = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        cx1, cx2, _, _ = self.channel.cards
-        if not self.joint.has_axes(["X1", "X2"]):
-            raise BoundsError("auxiliary joint must include X1 and X2")
-        if self.joint.card("X1") != cx1 or self.joint.card("X2") != cx2:
-            raise BoundsError(
-                f"input cardinalities {(self.joint.card('X1'), self.joint.card('X2'))} "
-                f"do not match channel {(cx1, cx2)}"
-            )
-        object.__setattr__(self, "extended", induce_joint(self.channel, self.joint))
-
-    def require_axes(self, names: Iterable[str]) -> None:
-        missing = [n for n in names if not self.joint.has_axes([n])]
-        if missing:
-            raise BoundsError(f"auxiliary joint lacks axes {missing}")
 
 
 def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[RatePoint]:
@@ -224,9 +199,10 @@ def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoi
     spec = BOUNDS[kind]
     if spec.noiseless_y1 and detect_semi_deterministic(ch) is None:
         raise BoundsError("channel is not semi-deterministic in Y1")
-    asg = AuxAssignment(ch, aux)
-    asg.require_axes(spec.aux_axes)
-    return _vertices(*spec.caps(Informations(asg.extended)))
+    missing = [name for name in spec.aux_axes if not aux.has_axes([name])]
+    if missing:
+        raise BoundsError(f"auxiliary joint lacks axes {missing}")
+    return _vertices(*spec.caps(Informations(induce_joint(ch, aux))))
 
 
 def parse_bound(token: str) -> BoundKind:
@@ -492,7 +468,7 @@ class ConditionReport:
 
 def condition_gap(ch: DiscreteCRC, cond: Condition, joint: JointPmf) -> float:
     """LHS - RHS of the ordering for one quantified distribution."""
-    return CONDITIONS[cond].gap(Informations(AuxAssignment(ch, joint).extended))
+    return CONDITIONS[cond].gap(Informations(induce_joint(ch, joint)))
 
 
 def _deterministic_map_candidates(
@@ -529,19 +505,14 @@ def check_condition(
     cond: Condition | str,
     samples: int = 1000,
     seed: int = 0,
-    w_card: int | None = None,
-    v_card: int | None = None,
 ) -> ConditionReport:
-    """Falsification search over the ordering's quantified distributions."""
+    """Falsification search over the ordering's quantified distributions;
+    the quantified W and V take |X1|*|X2| values."""
     cond = parse_condition(cond) if isinstance(cond, str) else cond
     if samples < 0:
         raise BoundsError("samples must be >= 0")
     cx1, cx2, _, _ = ch.cards
-    cards = {
-        "W": w_card if w_card is not None else cx1 * cx2,
-        "V": v_card if v_card is not None else cx1 * cx2,
-    }
-    axes = [(n, cards[n]) for n in CONDITIONS[cond].aux_axes]
+    axes = [(n, cx1 * cx2) for n in CONDITIONS[cond].aux_axes]
     axes += [("X1", cx1), ("X2", cx2)]
     joints = _candidates(_deterministic_map_candidates(ch, axes, seed), axes, samples, seed)
     best_gap, witness, count = -np.inf, None, 0

@@ -63,7 +63,10 @@ def _load_config_overlay(args: argparse.Namespace, keys: Sequence[str]) -> dict[
             raise CliError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise CliError(f"cannot parse config file {args.config}: {exc}")
-        cfg.update(raw.get("config", raw))
+        raw = raw.get("config", raw) if isinstance(raw, dict) else raw
+        if not isinstance(raw, dict):
+            raise CliError(f"config file {args.config} must hold a JSON object")
+        cfg.update(raw)
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:

@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from crcsec import prob
+from crcsec import binning, prob
 from crcsec.accept import _benchmark_setup, brute_force_equivocation, pure_noise_channel
 from crcsec.binning import (
     BudgetError,
@@ -281,6 +281,33 @@ def test_encoder_covers_real_bins_on_erasure_cascade():
         fast = exact_equivocation(cb, ch, observer)
         slow = brute_force_equivocation(cb, ch, observer)
         assert abs(fast - slow) < 1e-10
+
+
+def test_exact_equivocation_matches_brute_force_with_multi_message_bins(monkeypatch):
+    # both outputs noisy: Y1 a BSC(0.1) of X1 xor X2, Y2 a BSC(0.2) of X1 or X2
+    k = np.zeros((2, 2, 2, 2))
+    for x1, x2, y1, y2 in product(range(2), repeat=4):
+        k[x1, x2, y1, y2] = (0.9 if y1 == x1 ^ x2 else 0.1) * (0.8 if y2 == x1 | x2 else 0.2)
+    ch = DiscreteCRC(k)
+    probs = np.zeros((2, 2, 2, 2))  # U = X1, V a noisy copy of X2
+    for v, u, x2 in product(range(2), repeat=3):
+        probs[v, u, u, x2] = (0.75 if v == x2 else 0.25) / 4
+    aux = prob.JointPmf(("V", "U", "X1", "X2"), probs)
+    rates = SchemeRates(r1=0.2, r21=0.2, r22=0.2, l1=0.4, l1b=0.0, l21=0.4, l21b=0.0, eps=0.05, n=5)
+    cb = build_codebook(ch, aux, rates, seed=0)
+    counts = cb.counts
+    assert all(counts[key] >= 2 for key in ("n_m22", "n_m21", "n_l21", "n_l1"))
+    n_pairs = cb.typical.sum(axis=(2, 4))  # typical bin pairs per message
+    assert (n_pairs == 0).any() and (n_pairs >= 2).any()
+    n_words = int(np.maximum(n_pairs, 1).sum())
+    for observer in ("m1_at_y2", "m2_at_y1"):
+        fast = exact_equivocation(cb, ch, observer)
+        assert abs(fast - brute_force_equivocation(cb, ch, observer)) < 1e-10
+        for words_per_block in (1, 4):
+            assert words_per_block == 1 or n_words % words_per_block
+            monkeypatch.setattr(binning, "_LATTICE_BLOCK", words_per_block * 2**cb.n)
+            assert exact_equivocation(cb, ch, observer) == fast
+        monkeypatch.undo()
 
 
 def test_exact_equivocation_budget():

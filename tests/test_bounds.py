@@ -9,7 +9,6 @@ from crcsec import bounds, prob
 from crcsec.bounds import (
     BOUNDS,
     SEARCH_CHUNK,
-    AuxAssignment,
     BoundKind,
     BoundsError,
     Condition,
@@ -22,7 +21,7 @@ from crcsec.bounds import (
     structured_candidates,
     _candidates,
 )
-from crcsec.channel import erasure_cascade_channel, orthogonal_channel, xor_channel
+from crcsec.channel import erasure_cascade_channel, induce_joint, orthogonal_channel, xor_channel
 from crcsec.region import RatePoint, dominates
 
 H2_011 = 0.4999159581645280
@@ -120,7 +119,7 @@ def test_lessnoisy_x2_degenerate_reduces_to_two_receiver_form():
     ch = DiscreteCRC(k)
     axes = [("V", 2), ("U", 2), ("X1", 2), ("X2", 1)]
     aux = joint_with(axes, {"U": lambda x1, x2: x1, "V": lambda x1, x2: x1})
-    ext = AuxAssignment(ch, aux).extended
+    ext = induce_joint(ch, aux)
     cmi = prob.conditional_mutual_information
     a = cmi(ext, ("U", "V"), "Y1", "X2")
     b = cmi(ext, ("V", "X2"), "Y2")

@@ -93,6 +93,17 @@ def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("document", [[1, 2], {"config": [1, 2]}], ids=["array", "manifest-array"])
+@pytest.mark.parametrize("command", ["gauss", "figure2", "discrete", "check", "simulate"])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, document):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(document))
+    out_flag = "--outdir" if command == "figure2" else "--out"
+    assert run([command, "--config", path, out_flag, tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 def test_gauss_perfect_secrecy_strong_interference_zero_r1(tmp_path):
     out = tmp_path / "cor"
     assert run(["gauss", "--mode", "cor3", "--a", 1, "--b", 2, "--p1", 20,
