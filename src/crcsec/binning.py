@@ -95,7 +95,11 @@ def _extended(ch: DiscreteCRC, aux: JointPmf) -> JointPmf:
 
 
 def compute_scheme_informations(ch: DiscreteCRC, aux: JointPmf) -> SchemeInformations:
-    i = Informations(_extended(ch, aux)).i
+    info = Informations(_extended(ch, aux))  # the S = 1 stack
+
+    def i(*sets: str | tuple[str, ...]) -> float:
+        return float(info.i(*sets)[0])
+
     return SchemeInformations(
         i_u_y1=i("U", "Y1"),
         i_u_y2vx2=i("U", ("Y2", "V", "X2")),

@@ -1,10 +1,12 @@
 """Single-letter rate-region evaluation and sampled search for discrete channels.
 
 Every bound and every channel ordering is one table entry (``BOUNDS``,
-``CONDITIONS``) over the memoized entropies of one extended joint: an
-auxiliary-variable distribution (over a subset of Q, W, V, U plus the
-channel inputs X1, X2) pushed through the channel. :func:`bound_point`
-turns a bound's information caps into the vertex set of a small polytope:
+``CONDITIONS``) over the memoized entropies of a stack of extended joints:
+auxiliary-variable distributions (over a subset of Q, W, V, U plus the
+channel inputs X1, X2) pushed through the channel in one broadcast. The
+searches evaluate candidates a stack at a time; :func:`bound_point` and
+:func:`condition_gap` are the S = 1 case. A bound's caps give the vertex
+set of a small polytope:
 
     0 <= R1 <= A,   0 <= R2 <= B,   R1 + R2 <= S,
 
@@ -22,12 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import product
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import DiscreteCRC, detect_semi_deterministic, induce_joint
-from .prob import Informations, JointPmf, sample_joint
+from .channel import DiscreteCRC, detect_semi_deterministic, push_through
+from .prob import Informations, JointPmf
 from .region import RatePoint, Region, _skyline, pareto_filter
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
@@ -37,6 +39,7 @@ CAP_SNAP_TOL = 1e-9
 CONDITION_TOL = 1e-9
 MAX_ENUMERATED_MAPS = 256
 SEARCH_CHUNK = 256  # new frontier points collected between two skyline merges
+_STACK_FLOATS = 1 << 15  # cap on the extended-joint floats of one candidate stack
 
 
 class BoundsError(ValueError):
@@ -64,9 +67,9 @@ def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[RatePo
     return list(pareto_filter(points, ("r1", "r2")).frontier)
 
 
-# A bound's caps (A, B, S, E1, E2) from the informations of the extended
-# joint: R1 <= A, R2 <= B, R1 + R2 <= S, Re1 <= [E1]_+, Re2 <= [E2]_+.
-Caps = tuple[float, float, float, float, float]
+# A bound's caps (A, B, S, E1, E2) per row of a stack of extended joints:
+# R1 <= A, R2 <= B, R1 + R2 <= S, Re1 <= [E1]_+, Re2 <= [E2]_+.
+Caps = tuple[np.ndarray | float, ...]
 
 
 def _inner_caps(info: Informations) -> Caps:
@@ -84,7 +87,7 @@ def _inner_caps(info: Informations) -> Caps:
     u_vwx2 = i("U", ("V", "W", "X2"), "Q")
     vwx2_y2 = i(("V", "W", "X2"), "Y2", "Q")
     return (
-        min(u_y1 - i("U", ("W", "X2"), "Q"), u_y1 + v_y2 - u_vwx2),
+        np.minimum(u_y1 - i("U", ("W", "X2"), "Q"), u_y1 + v_y2 - u_vwx2),
         vwx2_y2,
         u_y1 + vwx2_y2 - u_vwx2,
         u_y1 - i("U", ("Y2", "V", "W", "X2"), "Q"),
@@ -105,7 +108,7 @@ def _outer_caps(info: Informations) -> Caps:
     u_y1_vx2 = i("U", "Y1", ("V", "X2"))
     vx2_y2 = i(("V", "X2"), "Y2")
     return (
-        min(i(("U", "V"), "Y1", "X2"), u_y1_vx2 + i("V", "Y2", "X2")),
+        np.minimum(i(("U", "V"), "Y1", "X2"), u_y1_vx2 + i("V", "Y2", "X2")),
         vx2_y2,
         u_y1_vx2 + vx2_y2,
         u_y1_vx2 - i("U", "Y2", ("V", "X2")),
@@ -147,11 +150,12 @@ def _semidet_caps(info: Informations) -> Caps:
       Re2 <= [I(V;Y2|X2) - I(V;Y1|X2)]_+
     """
     h, i = info.h, info.i
-    h_y1_vx2 = _clip_rate(h(("Y1", "V", "X2")) - h(("V", "X2")))
+    h_y1_vx2 = h(("Y1", "V", "X2")) - h(("V", "X2"))
+    h_y1_vx2 = np.where(h_y1_vx2 > CAP_SNAP_TOL, h_y1_vx2, 0.0)
     v_y2_x2 = i("V", "Y2", "X2")
     vx2_y2 = i(("V", "X2"), "Y2")
     return (
-        min(h(("Y1", "X2")) - h("X2"), h_y1_vx2 + v_y2_x2),
+        np.minimum(h(("Y1", "X2")) - h("X2"), h_y1_vx2 + v_y2_x2),
         vx2_y2,
         h_y1_vx2 + vx2_y2,
         h(("Y1", "Y2", "V", "X2")) - h(("Y2", "V", "X2")),
@@ -191,26 +195,34 @@ BOUNDS: dict[BoundKind, BoundSpec] = {
     ),
 }
 
-BOUND_ALIASES = {kind.value: kind for kind in BoundKind} | {"thm6": BoundKind.SEMIDET_M1}
+
+def _informations(ch: DiscreteCRC, axes: Sequence[str], stack: np.ndarray) -> Informations:
+    """The memo of a stack of auxiliary joints over ``axes`` pushed through ``ch``."""
+    return Informations(tuple(axes) + ("Y1", "Y2"), push_through(ch, axes, stack))
+
+
+def _caps(ch: DiscreteCRC, spec: BoundSpec, axes: Sequence[str], stack: np.ndarray) -> np.ndarray:
+    """A bound's caps for a stack of auxiliary joints, shape ``(5, S)``."""
+    if spec.noiseless_y1 and detect_semi_deterministic(ch) is None:
+        raise BoundsError("channel is not semi-deterministic in Y1")
+    return np.array(np.broadcast_arrays(*spec.caps(_informations(ch, axes, stack))))
 
 
 def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoint]:
     """Vertices of one bound's rate polytope for one auxiliary distribution."""
     spec = BOUNDS[kind]
-    if spec.noiseless_y1 and detect_semi_deterministic(ch) is None:
-        raise BoundsError("channel is not semi-deterministic in Y1")
     missing = [name for name in spec.aux_axes if not aux.has_axes([name])]
     if missing:
         raise BoundsError(f"auxiliary joint lacks axes {missing}")
-    return _vertices(*spec.caps(Informations(induce_joint(ch, aux))))
+    return _vertices(*_caps(ch, spec, aux.axes, aux.probs[None])[:, 0].tolist())
 
 
 def parse_bound(token: str) -> BoundKind:
     try:
-        return BOUND_ALIASES[token.strip().lower()]
-    except KeyError:
+        return BoundKind(token.strip().lower())
+    except ValueError:
         raise BoundsError(
-            f"unknown bound {token!r}; expected one of {sorted(BOUND_ALIASES)}"
+            f"unknown bound {token!r}; expected one of {sorted(k.value for k in BoundKind)}"
         ) from None
 
 
@@ -241,48 +253,25 @@ class SearchCards:
         return cards
 
 
-def _binary_entropy(p: float) -> float:
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-(p * np.log2(p) + (1 - p) * np.log2(1 - p)))
-
-
-def _binary_entropy_inverse(t: float) -> float:
-    """p in [0, 0.5] with H2(p) = t, by bisection."""
-    t = min(max(t, 0.0), 1.0)
-    lo, hi = 0.0, 0.5
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _binary_entropy(mid) < t:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _assigned_joint(
-    axes: list[tuple[str, int]],
-    x1_dist: np.ndarray,
-    x2_dist: np.ndarray,
-    funcs: dict[str, Callable[[int, int], int]],
-) -> JointPmf:
-    """Joint where each auxiliary variable is a deterministic map of (x1, x2)."""
-    names = [n for n, _ in axes]
-    cards = {n: c for n, c in axes}
-    shape = tuple(c for _, c in axes)
-    probs = np.zeros(shape)
-    for x1, x2 in product(range(len(x1_dist)), range(len(x2_dist))):
-        idx = []
-        for name in names:
-            if name == "X1":
-                idx.append(x1)
-            elif name == "X2":
-                idx.append(x2)
-            else:
-                f = funcs.get(name)
-                idx.append(f(x1, x2) % cards[name] if f else 0)
-        probs[tuple(idx)] += x1_dist[x1] * x2_dist[x2]
-    return JointPmf(tuple(names), probs)
+def _assigned(axes: list[tuple[str, int]], maps: dict[str, Any], x1_dist: np.ndarray) -> np.ndarray:
+    """Stack of joints: X1 from ``x1_dist`` (rows or 1, |X1|), X2 uniform, and
+    each auxiliary ``maps[name]`` of the input pair: ``"x1"``, ``"x2"``,
+    ``"pair"`` (x1 + |X1| x2) or a (rows, pairs) table over pairs x1 |X2| + x2,
+    modulo its cardinality (0 if unmapped). Pairs sharing a cell add in pair
+    order, as a loop over (x1, x2) would."""
+    cards = dict(axes)
+    cx1, cx2 = cards["X1"], cards["X2"]
+    x1, x2 = np.divmod(np.arange(cx1 * cx2), cx2)
+    kinds = {"x1": x1, "x2": x2, "pair": x1 + cx1 * x2}
+    cell = 0
+    for name, card in axes:
+        value = {"X1": "x1", "X2": "x2"}.get(name) or maps.get(name, 0)
+        cell = cell * card + (kinds[value] if isinstance(value, str) else value) % card
+    weights = (x1_dist[:, :, None] * np.full(cx2, 1.0 / cx2)).reshape(len(x1_dist), -1)
+    cell, weights = np.broadcast_arrays(np.atleast_2d(cell), weights)
+    out = np.zeros((len(cell), int(np.prod(list(cards.values())))))
+    np.add.at(out, (np.arange(len(cell))[:, None], cell), weights)
+    return out.reshape(len(cell), *cards.values())
 
 
 # Deterministic auxiliary patterns worth trying before random search: copies
@@ -300,55 +289,47 @@ _COPY_PATTERNS: tuple[dict[str, str], ...] = (
 BIAS_GRID_POINTS = 51
 
 
-def _pattern_funcs(pattern: dict[str, str], cx1: int) -> dict[str, Callable[[int, int], int]]:
-    table = {
-        "x1": lambda x1, x2: x1,
-        "x2": lambda x1, x2: x2,
-        "pair": lambda x1, x2: x1 + cx1 * x2,
-    }
-    return {name: table[kind] for name, kind in pattern.items()}
-
-
-def structured_candidates(
-    ch: DiscreteCRC, axes: list[tuple[str, int]]
-) -> Iterator[JointPmf]:
+def structured_candidates(ch: DiscreteCRC, axes: list[tuple[str, int]]) -> np.ndarray:
     """Deterministic candidate distributions, emitted before random draws.
 
-    Includes the independent-uniform and all-degenerate joints, copy
+    A stack of the independent-uniform and all-degenerate joints, copy
     patterns of the inputs onto the auxiliaries, and (for a binary X1) a
     bias grid that is uniform in the entropy of X1 so corner-achieving
     operating points appear along the whole frontier.
     """
-    cx1, cx2, _, _ = ch.cards
+    cx1 = ch.cards[0]
     shape = tuple(c for _, c in axes)
-    names = tuple(n for n, _ in axes)
-    uniform = np.full(shape, 1.0 / float(np.prod(shape)))
-    yield JointPmf(names, uniform)
-    degenerate = np.zeros(shape)
-    degenerate[(0,) * len(shape)] = 1.0
-    yield JointPmf(names, degenerate)
-    u1 = np.full(cx1, 1.0 / cx1)
-    u2 = np.full(cx2, 1.0 / cx2)
-    aux_names = {n for n in names if n not in ("X1", "X2")}
-    for pattern in _COPY_PATTERNS:
-        funcs = _pattern_funcs({k: v for k, v in pattern.items() if k in aux_names}, cx1)
-        yield _assigned_joint(axes, u1, u2, funcs)
-    if cx1 == 2:
-        funcs = _pattern_funcs({k: "x1" for k in ("U", "V") if k in aux_names}, cx1)
-        for i in range(BIAS_GRID_POINTS):
-            t = i / (BIAS_GRID_POINTS - 1)
-            p = _binary_entropy_inverse(t)
-            x1_dist = np.array([1.0 - p, p])
-            yield _assigned_joint(axes, x1_dist, u2, funcs)
+    uniform = np.full((1,) + shape, 1.0 / float(np.prod(shape)))
+    degenerate = np.zeros((1,) + shape)
+    degenerate[(0,) * degenerate.ndim] = 1.0
+    u1 = np.full((1, cx1), 1.0 / cx1)
+    stacks = [uniform, degenerate] + [_assigned(axes, pattern, u1) for pattern in _COPY_PATTERNS]
+    if cx1 == 2:  # bisect H2(p) = t, p in (0, 0.5), for the grid of t in [0, 1]
+        t = np.arange(BIAS_GRID_POINTS) / (BIAS_GRID_POINTS - 1)
+        lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            below = -(mid * np.log2(mid) + (1 - mid) * np.log2(1 - mid)) < t
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        p = 0.5 * (lo + hi)
+        stacks.append(_assigned(axes, {"U": "x1", "V": "x1"}, np.stack([1.0 - p, p], axis=1)))
+    return np.concatenate(stacks)
 
 
-def _candidates(
-    structured: Iterable[JointPmf], axes: list[tuple[str, int]], samples: int, seed: int
-) -> Iterator[tuple[str, int, JointPmf]]:
-    """``(source, index, joint)``: the ``structured`` joints, then seeded flat-Dirichlet draws."""
-    yield from (("structured", i, joint) for i, joint in enumerate(structured))
-    for i in range(samples):
-        yield "sample", i, sample_joint(axes, np.random.SeedSequence((int(seed), i)))
+def _candidate_stacks(ch: DiscreteCRC, structured: np.ndarray, samples: int, seed: int) -> Iterator[tuple]:
+    """``(source, start, stack)``: the ``structured`` rows, then seeded
+    flat-Dirichlet draws (draw ``i`` from ``SeedSequence((seed, i))``), in
+    stacks of at most ``_STACK_FLOATS`` extended-joint floats (one row at least)."""
+    cards, size = structured.shape[1:], structured[0].size
+    step = max(1, _STACK_FLOATS // (size * ch.cards[2] * ch.cards[3]))
+    for start in range(0, len(structured), step):
+        yield "structured", start, structured[start : start + step]
+    for start in range(0, samples, step):
+        stack = np.empty((min(step, samples - start), size))
+        for r in range(len(stack)):
+            rng = np.random.default_rng(np.random.SeedSequence((int(seed), start + r)))
+            stack[r] = rng.dirichlet(np.ones(size))
+        yield "sample", start, stack.reshape((-1,) + cards)
 
 
 def search_region(
@@ -370,20 +351,25 @@ def search_region(
     bound = parse_bound(bound) if isinstance(bound, str) else bound
     if samples < 0:
         raise BoundsError("samples must be >= 0")
+    spec = BOUNDS[bound]
     resolved = (cards or SearchCards()).resolved(ch)
-    cx1, cx2, _, _ = ch.cards
-    axes = [(n, resolved[n]) for n in BOUNDS[bound].aux_axes]
-    axes += [("X1", cx1), ("X2", cx2)]
+    axes = [(n, resolved[n]) for n in spec.aux_axes] + [("X1", ch.cards[0]), ("X2", ch.cards[1])]
+    names = tuple(n for n, _ in axes)
     dims = bound_dims(bound, secrecy)
     zeroed = {} if secrecy else {"re1": 0.0, "re2": 0.0}
     frontier: list[RatePoint] = []
     new: list[RatePoint] = []
-    for source, index, joint in _candidates(structured_candidates(ch, axes), axes, samples, seed):
-        meta = {"source": source, "index": index, "aux": joint}
-        new += [replace(p, meta=meta, **zeroed) for p in bound_point(ch, bound, joint)]
-        if len(new) >= SEARCH_CHUNK:  # the running frontier goes first: it was found first
-            frontier, new = _skyline(frontier + new, dims), []
-    return Region(tuple(_skyline(frontier + new, dims)), dims)
+    for source, start, stack in _candidate_stacks(ch, structured_candidates(ch, axes), samples, seed):
+        for r, caps in enumerate(_caps(ch, spec, names, stack).T.tolist()):
+            meta = {"source": source, "index": start + r, "aux": stack[r].copy()}
+            new += [replace(p, meta=meta, **zeroed) for p in _vertices(*caps)]
+            if len(new) >= SEARCH_CHUNK:  # the running frontier goes first: it was found first
+                frontier, new = _skyline(frontier + new, dims), []
+    frontier = [
+        replace(p, meta={**p.meta, "aux": JointPmf(names, p.meta["aux"])})
+        for p in _skyline(frontier + new, dims)
+    ]
+    return Region(tuple(frontier), dims)
 
 
 class Condition(str, Enum):
@@ -393,12 +379,12 @@ class Condition(str, Enum):
     SEMI_DET = "semidet11"
 
 
-def _lessnoisy_gap(info: Informations) -> float:
+def _lessnoisy_gap(info: Informations) -> np.ndarray:
     """I(V,X2;Y2|W) - I(V,X2;Y1|W)."""
     return info.i(("V", "X2"), "Y2", "W") - info.i(("V", "X2"), "Y1", "W")
 
 
-def _semidet_gap(info: Informations) -> float:
+def _semidet_gap(info: Informations) -> np.ndarray:
     """[H(Y2|W) - H(Y2|X2)] - [H(Y1|W) - H(Y1|X2)]."""
     h = info.h
     lhs = (h(("Y2", "W")) - h("W")) - (h(("Y2", "X2")) - h("X2"))
@@ -410,7 +396,7 @@ class ConditionSpec(NamedTuple):
     """One ordering: its quantified auxiliaries (beside X1, X2) and its gap."""
 
     aux_axes: tuple[str, ...]
-    gap: Callable[[Informations], float]
+    gap: Callable[[Informations], np.ndarray]
 
 
 CONDITIONS: dict[Condition, ConditionSpec] = {
@@ -468,36 +454,27 @@ class ConditionReport:
 
 def condition_gap(ch: DiscreteCRC, cond: Condition, joint: JointPmf) -> float:
     """LHS - RHS of the ordering for one quantified distribution."""
-    return CONDITIONS[cond].gap(Informations(induce_joint(ch, joint)))
+    return float(CONDITIONS[cond].gap(_informations(ch, joint.axes, joint.probs[None]))[0])
 
 
 def _deterministic_map_candidates(
     ch: DiscreteCRC, axes: list[tuple[str, int]], seed: int
-) -> Iterator[JointPmf]:
-    """Uniform-input joints with aux variables set to deterministic maps."""
+) -> np.ndarray:
+    """Uniform-input joints with aux variables set to deterministic maps: per
+    auxiliary, each (or a seeded sample of) its tables, the others copying the pair."""
     cx1, cx2, _, _ = ch.cards
-    u1 = np.full(cx1, 1.0 / cx1)
-    u2 = np.full(cx2, 1.0 / cx2)
+    u1 = np.full((1, cx1), 1.0 / cx1)
     aux = [(n, c) for n, c in axes if n not in ("X1", "X2")]
     n_inputs = cx1 * cx2
+    stacks = []
     for axis_pos, (name, card) in enumerate(aux):
-        others = {n: (lambda x1, x2: x1 + cx1 * x2) for n, _ in aux if n != name}
-        total = card**n_inputs
-        if total <= MAX_ENUMERATED_MAPS:
-            tables = product(range(card), repeat=n_inputs)
+        if card**n_inputs <= MAX_ENUMERATED_MAPS:
+            tables = np.array(list(product(range(card), repeat=n_inputs))).reshape(-1, n_inputs)
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, axis_pos)))
-            tables = (
-                tuple(int(v) for v in rng.integers(0, card, n_inputs))
-                for _ in range(MAX_ENUMERATED_MAPS)
-            )
-        for table in tables:
-            tbl = tuple(table)
-
-            def f(x1: int, x2: int, _tbl=tbl) -> int:
-                return _tbl[x1 * cx2 + x2]
-
-            yield _assigned_joint(axes, u1, u2, {name: f, **others})
+            tables = np.array([rng.integers(0, card, n_inputs) for _ in range(MAX_ENUMERATED_MAPS)])
+        stacks.append(_assigned(axes, {**{n: "pair" for n, _ in aux}, name: tables}, u1))
+    return np.concatenate(stacks)
 
 
 def check_condition(
@@ -507,18 +484,20 @@ def check_condition(
     seed: int = 0,
 ) -> ConditionReport:
     """Falsification search over the ordering's quantified distributions;
-    the quantified W and V take |X1|*|X2| values."""
+    the quantified W and V take |X1|*|X2| values. Of equal gaps the first
+    candidate is the witness."""
     cond = parse_condition(cond) if isinstance(cond, str) else cond
     if samples < 0:
         raise BoundsError("samples must be >= 0")
     cx1, cx2, _, _ = ch.cards
-    axes = [(n, cx1 * cx2) for n in CONDITIONS[cond].aux_axes]
-    axes += [("X1", cx1), ("X2", cx2)]
-    joints = _candidates(_deterministic_map_candidates(ch, axes, seed), axes, samples, seed)
+    axes = [(n, cx1 * cx2) for n in CONDITIONS[cond].aux_axes] + [("X1", cx1), ("X2", cx2)]
+    names = tuple(n for n, _ in axes)
     best_gap, witness, count = -np.inf, None, 0
-    for count, (_, _, joint) in enumerate(joints, 1):
-        gap = condition_gap(ch, cond, joint)
-        if gap > best_gap:
-            best_gap, witness = gap, joint
+    for _, _, stack in _candidate_stacks(ch, _deterministic_map_candidates(ch, axes, seed), samples, seed):
+        gaps = CONDITIONS[cond].gap(_informations(ch, names, stack))
+        r = int(np.argmax(gaps))
+        if gaps[r] > best_gap:
+            best_gap, witness = float(gaps[r]), stack[r].copy()
+        count += len(stack)
     assert witness is not None
-    return ConditionReport(cond, float(best_gap), witness, count)
+    return ConditionReport(cond, best_gap, JointPmf(names, witness), count)

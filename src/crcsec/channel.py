@@ -19,6 +19,7 @@ and an optional "name". Indices are 0-based. Rows P(.,.|x1,x2) must sum to
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,43 +99,45 @@ class GaussianCRC:
             raise ChannelError(f"powers must be positive, got P1={self.p1}, P2={self.p2}")
 
 
-def detect_semi_deterministic(ch: DiscreteCRC, tol: float = ROW_SUM_TOL) -> np.ndarray | None:
+def detect_semi_deterministic(ch: DiscreteCRC) -> np.ndarray | None:
     """The map (x1, x2) -> y1 as an (|X1|, |X2|) table when P(y1|x1,x2) is
-    0/1-valued (Y2 may be noisy); None otherwise."""
+    0/1-valued within ``ROW_SUM_TOL`` (Y2 may be noisy); None otherwise."""
     py1 = ch.y1_marginal()
-    near01 = (np.abs(py1) <= tol) | (np.abs(py1 - 1.0) <= tol)
+    near01 = (np.abs(py1) <= ROW_SUM_TOL) | (np.abs(py1 - 1.0) <= ROW_SUM_TOL)
     if not np.all(near01):
         return None
     return py1.argmax(axis=2)
 
 
-def induce_joint(ch: DiscreteCRC, inputs: JointPmf) -> JointPmf:
-    """Push an input distribution through the kernel.
+def push_through(ch: DiscreteCRC, axes: Sequence[str], stack: np.ndarray) -> np.ndarray:
+    """Push a stack of input distributions through the kernel in one broadcast.
 
-    ``inputs`` must contain axes X1 and X2 (any extra auxiliary axes are
-    kept); the result appends Y1 and Y2 and satisfies
-    p(..., x1, x2, y1, y2) = p_in(..., x1, x2) * P(y1, y2 | x1, x2).
+    ``stack`` has shape ``(S, *cards)`` over the named ``axes``, which must
+    include X1 and X2 (any extra auxiliary axes are kept); the result has
+    shape ``(S, *cards, |Y1|, |Y2|)`` and satisfies
+    p(s, ..., x1, x2, y1, y2) = p_in(s, ..., x1, x2) * P(y1, y2 | x1, x2).
     """
-    cx1, cx2, _, _ = ch.cards
+    cx1, cx2, cy1, cy2 = ch.cards
     for name, card in (("X1", cx1), ("X2", cx2)):
-        if not inputs.has_axes([name]):
+        if name not in axes:
             raise ChannelError(f"input pmf lacks axis {name!r}")
-        if inputs.card(name) != card:
-            raise ChannelError(
-                f"{name} cardinality {inputs.card(name)} does not match channel ({card})"
-            )
-    if inputs.has_axes(["Y1"]) or inputs.has_axes(["Y2"]):
+        got = stack.shape[1 + axes.index(name)]
+        if got != card:
+            raise ChannelError(f"{name} cardinality {got} does not match channel ({card})")
+    if "Y1" in axes or "Y2" in axes:
         raise ChannelError("input pmf already carries output axes")
-    i1, i2 = inputs.axis_index("X1"), inputs.axis_index("X2")
-    in_nd = inputs.probs.ndim
+    i1, i2 = axes.index("X1"), axes.index("X2")
     # Align kernel axes (x1, x2, y1, y2) with positions (i1, i2, -2, -1) of the
     # output layout: a reshape suffices once the x-axes are in ascending order.
     kern = ch.kernel if i1 < i2 else np.swapaxes(ch.kernel, 0, 1)
-    shape = [1] * (in_nd + 2)
-    shape[i1], shape[i2] = cx1, cx2
-    shape[in_nd], shape[in_nd + 1] = ch.cards[2], ch.cards[3]
-    out = inputs.probs[..., None, None] * kern.reshape(shape)
-    return JointPmf(inputs.axes + ("Y1", "Y2"), out)
+    shape = [1] * (len(axes) + 3)
+    shape[1 + i1], shape[1 + i2], shape[-2], shape[-1] = cx1, cx2, cy1, cy2
+    return stack[..., None, None] * kern.reshape(shape)
+
+
+def induce_joint(ch: DiscreteCRC, inputs: JointPmf) -> JointPmf:
+    """:func:`push_through` of one input distribution (the S = 1 stack)."""
+    return JointPmf(inputs.axes + ("Y1", "Y2"), push_through(ch, inputs.axes, inputs.probs[None])[0])
 
 
 def load_channel(path: str | Path) -> DiscreteCRC:

@@ -46,16 +46,6 @@ class GaussMode(str, Enum):
     SECRECY = "secrecy"
 
 
-# Historical aliases accepted anywhere a mode token is parsed.
-MODE_ALIASES = {
-    "weak": GaussMode.WEAK,
-    "thm7": GaussMode.WEAK,
-    "degraded": GaussMode.DEGRADED,
-    "thm3": GaussMode.DEGRADED,
-    "secrecy": GaussMode.SECRECY,
-    "cor3": GaussMode.SECRECY,
-}
-
 MODE_DIMS = {
     GaussMode.WEAK: ("r1", "r2", "re1"),
     GaussMode.DEGRADED: ("r1", "r2", "re1", "re2"),
@@ -65,10 +55,10 @@ MODE_DIMS = {
 
 def parse_mode(token: str) -> GaussMode:
     try:
-        return MODE_ALIASES[token.strip().lower()]
-    except KeyError:
+        return GaussMode(token.strip().lower())
+    except ValueError:
         raise GaussError(
-            f"unknown mode {token!r}; expected one of {sorted(MODE_ALIASES)}"
+            f"unknown mode {token!r}; expected one of {sorted(m.value for m in GaussMode)}"
         ) from None
 
 

@@ -4,8 +4,10 @@ Everything downstream (channel push-throughs, rate-region evaluation, the
 binning-code simulator) is built on the small toolkit in this module:
 
 - :class:`JointPmf`, a dense probability tensor with named axes.
-- Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``), memoized per
-  joint by :class:`Informations`.
+- Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``), one-shot
+  (:func:`entropy`) or memoized over a stack of S joints of one shape by
+  :class:`Informations`, whose length-S arrays equal the one-shot values
+  bit for bit; one joint is the S = 1 stack.
 - Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
 - Strong joint typicality, one kernel over stacks of words:
   :func:`typical_mask` takes integer arrays of shape ``(..., n)`` per
@@ -133,19 +135,21 @@ def _as_name_set(vars_: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(vars_)
 
 
-def _sum_onto(p: JointPmf, keep: str | Iterable[str]) -> tuple[tuple[str, ...], np.ndarray]:
+def _sum_onto(axes: tuple[str, ...], probs: np.ndarray, keep: str | Iterable[str], lead: int = 0):
+    """Kept axes and ``probs`` (``lead`` stack axes, then ``axes``) summed onto ``keep``."""
     keep_set = set(_as_name_set(keep))
-    for name in keep_set:
-        p.axis_index(name)  # raises on unknown
+    unknown = keep_set - set(axes)
+    if unknown:
+        raise ProbError(f"unknown variable {sorted(unknown)[0]!r}; axes are {axes}")
     if not keep_set:
         raise ProbError("must keep at least one variable")
-    drop = tuple(i for i, a in enumerate(p.axes) if a not in keep_set)
-    return tuple(a for a in p.axes if a in keep_set), p.probs.sum(axis=drop) if drop else p.probs
+    drop = tuple(lead + i for i, a in enumerate(axes) if a not in keep_set)
+    return tuple(a for a in axes if a in keep_set), probs.sum(axis=drop) if drop else probs
 
 
 def marginalize(p: JointPmf, keep: str | Iterable[str]) -> JointPmf:
     """Marginal of ``p`` onto the ``keep`` variables (original axis order)."""
-    return JointPmf(*_sum_onto(p, keep))
+    return JointPmf(*_sum_onto(p.axes, p.probs, keep))
 
 
 def _entropy_of(pmf_tensor: np.ndarray) -> float:
@@ -154,36 +158,57 @@ def _entropy_of(pmf_tensor: np.ndarray) -> float:
     return float(-(nz * np.log2(nz)).sum())
 
 
+def _row_entropies(flat: np.ndarray) -> np.ndarray:
+    """:func:`_entropy_of` of every row of a 2-D array, bit for bit: rows sharing a
+    support form one C-contiguous ``(rows, nnz)`` block, whose ``sum(axis=1)``
+    adds each row in the 1-D sum's order (a strided block would not)."""
+    out = np.empty(len(flat))
+    support = flat > 0.0
+    groups: dict[bytes, list[int]] = {}
+    for r, key in enumerate(np.packbits(support, axis=1)):
+        groups.setdefault(key.tobytes(), []).append(r)
+    for rows in groups.values():
+        block = np.ascontiguousarray(flat[rows][:, support[rows[0]]])
+        out[rows] = -(block * np.log2(block)).sum(axis=1)
+    return out
+
+
 def entropy(p: JointPmf, vars_: str | Iterable[str]) -> float:
     """Joint Shannon entropy H(vars) in bits (the marginal is not re-validated)."""
     names = _as_name_set(vars_)
     if not names:
         raise ProbError("entropy requires a nonempty variable set")
-    return _entropy_of(_sum_onto(p, names)[1])
+    return _entropy_of(_sum_onto(p.axes, p.probs, names)[1])
 
 
 class Informations:
-    """Memoized Shannon quantities of one joint pmf, in bits.
+    """Memoized Shannon quantities of a stack of joint pmfs, in bits.
 
-    Each entropy is computed once per variable set, from the full tensor
-    exactly as :func:`entropy` computes it (never from a cached smaller
-    marginal), so every value is bit-identical to a one-shot call whatever
-    order the queries come in.
+    ``Informations(axes, stack)`` holds S joints over ``axes`` as one
+    ``(S, *cards)`` array, ``Informations(p)`` the S = 1 stack of ``p``;
+    :meth:`h` and :meth:`i` return length-S arrays. Each entropy is summed
+    once per variable set from the full tensors (never from a cached smaller
+    marginal), so each row equals a one-shot :func:`entropy` of that row bit
+    for bit, whatever the query order and the other rows.
     """
 
-    def __init__(self, p: JointPmf) -> None:
-        self.p = p
-        self._entropies: dict[frozenset[str], float] = {}
+    def __init__(self, p: JointPmf | Sequence[str], stack: np.ndarray | None = None) -> None:
+        if stack is None:
+            p, stack = p.axes, p.probs[None]
+        self.axes, self.stack = tuple(p), stack
+        self._entropies: dict[frozenset[str], np.ndarray] = {}
 
-    def h(self, vars_: str | Iterable[str]) -> float:
-        """H(vars); the empty set has entropy 0."""
+    def h(self, vars_: str | Iterable[str]) -> np.ndarray:
+        """H(vars) per row; the empty set has entropy 0."""
         names = _as_name_set(vars_)
         if not names:
-            return 0.0
+            return np.zeros(len(self.stack))
         key = frozenset(names)
         value = self._entropies.get(key)
         if value is None:
-            value = self._entropies[key] = entropy(self.p, names)
+            marginal = _sum_onto(self.axes, self.stack, names, lead=1)[1]
+            value = self._entropies[key] = _row_entropies(marginal.reshape(len(marginal), -1))
+            value.flags.writeable = False
         return value
 
     def i(
@@ -191,11 +216,11 @@ class Informations:
         a: str | Iterable[str],
         b: str | Iterable[str],
         c: str | Iterable[str] = (),
-    ) -> float:
-        """I(A;B|C), computed as H(AC) + H(BC) - H(ABC) - H(C).
+    ) -> np.ndarray:
+        """I(A;B|C) per row, computed as H(AC) + H(BC) - H(ABC) - H(C).
 
-        The result is clamped to 0 when it falls in ``[-MI_CLAMP_TOL, 0)``;
-        larger negative values raise :class:`ConsistencyError`.
+        Values in ``[-MI_CLAMP_TOL, 0)`` are clamped to 0; a more negative
+        value in any row raises :class:`ConsistencyError`.
         """
         sa, sb, sc = _as_name_set(a), _as_name_set(b), _as_name_set(c)
         if not sa or not sb:
@@ -205,11 +230,9 @@ class Informations:
             if overlap:
                 raise ProbError(f"variable sets must be disjoint; {sorted(overlap)} repeated")
         value = self.h(sa + sc) + self.h(sb + sc) - self.h(sa + sb + sc) - self.h(sc)
-        if value < 0.0:
-            if value < -MI_CLAMP_TOL:
-                raise ConsistencyError(f"mutual information came out {value} < -{MI_CLAMP_TOL}")
-            return 0.0
-        return value
+        if np.any(value < -MI_CLAMP_TOL):
+            raise ConsistencyError(f"mutual information came out {value.min()} < -{MI_CLAMP_TOL}")
+        return np.where(value < 0.0, 0.0, value)
 
 
 def conditional_mutual_information(
@@ -218,13 +241,13 @@ def conditional_mutual_information(
     b: str | Iterable[str],
     c: str | Iterable[str] = (),
 ) -> float:
-    """I(A;B|C) in bits: a one-shot :meth:`Informations.i`."""
-    return Informations(p).i(a, b, c)
+    """I(A;B|C) in bits: :meth:`Informations.i` of the S = 1 stack."""
+    return float(Informations(p).i(a, b, c)[0])
 
 
 def mutual_information(p: JointPmf, a: str | Iterable[str], b: str | Iterable[str]) -> float:
     """I(A;B) in bits."""
-    return Informations(p).i(a, b)
+    return float(Informations(p).i(a, b)[0])
 
 
 def sample_joint(

@@ -19,7 +19,7 @@ from crcsec.bounds import (
     parse_bound,
     search_region,
     structured_candidates,
-    _candidates,
+    _candidate_stacks,
 )
 from crcsec.channel import erasure_cascade_channel, induce_joint, orthogonal_channel, xor_channel
 from crcsec.region import RatePoint, dominates
@@ -182,8 +182,8 @@ def test_structured_candidates_cover_corner_assignment():
     ch = orthogonal_channel()
     axes = [("Q", 1), ("W", 1), ("V", 1), ("U", 2), ("X1", 2), ("X2", 2)]
     best = None
-    for joint in structured_candidates(ch, axes):
-        for p in bound_point(ch, BoundKind.INNER, joint):
+    for row in structured_candidates(ch, axes):
+        for p in bound_point(ch, BoundKind.INNER, prob.JointPmf(tuple(n for n, _ in axes), row)):
             if best is None or (p.r1, p.r2, p.re1) > best:
                 best = (p.r1, p.r2, p.re1)
     assert best == (1.0, 1.0, 1.0)
@@ -226,7 +226,12 @@ def test_search_equals_exact_maximal_set_across_chunks(chunk, monkeypatch):
     reg = search_region(ch, kind, cards=cards, samples=samples, seed=seed)
     resolved = cards.resolved(ch)
     axes = [(n, resolved[n]) for n in BOUNDS[kind].aux_axes] + [("X1", 2), ("X2", 2)]
-    joints = _candidates(structured_candidates(ch, axes), axes, samples, seed)
+    names = tuple(n for n, _ in axes)
+    joints = [
+        (src, start + r, prob.JointPmf(names, row))
+        for src, start, stack in _candidate_stacks(ch, structured_candidates(ch, axes), samples, seed)
+        for r, row in enumerate(stack)
+    ]
     found = [((src, i), p.coords(reg.dims)) for src, i, j in joints for p in bound_point(ch, kind, j)]
     assert len(found) > 2 * SEARCH_CHUNK
     c = np.array([coords for _, coords in found])
@@ -237,6 +242,32 @@ def test_search_equals_exact_maximal_set_across_chunks(chunk, monkeypatch):
     want = sorted((found[i][1], found[i][0]) for i in np.flatnonzero(maximal))[::-1]
     got = [(p.coords(reg.dims), (p.meta["source"], p.meta["index"])) for p in reg.frontier]
     assert got == want
+
+
+def test_one_candidate_stacks_equal_default_stacks(monkeypatch):
+    """Stacks of one candidate give the frontier, metas and report of full stacks."""
+
+    def run():
+        reg = search_region(erasure_cascade_channel(), BoundKind.OUTER, samples=100, seed=5)
+        rows = [(p.coords(reg.dims), p.meta["source"], p.meta["index"], p.meta["aux"].to_jsonable())
+                for p in reg.frontier]
+        report = check_condition(erasure_cascade_channel(), Condition.LESS_NOISY, samples=100, seed=2)
+        return rows, report.to_jsonable()
+
+    default = run()
+    assert len(default[0]) > 1
+    monkeypatch.setattr(bounds, "_STACK_FLOATS", 1)
+    assert run() == default
+
+
+def test_search_meta_owns_its_joint():
+    """A frontier meta holds a copy of its row, so no candidate stack stays alive."""
+    reg = search_region(erasure_cascade_channel(), BoundKind.OUTER, samples=100, seed=5)
+    sources = {p.meta["source"] for p in reg.frontier}
+    assert sources == {"structured", "sample"}
+    for p in reg.frontier:
+        aux = p.meta["aux"]
+        assert aux.probs.flags.owndata and aux.probs.base is None
 
 
 def test_search_zero_samples_uses_structured_candidates():
@@ -258,10 +289,11 @@ def test_search_meta_records_achieving_distribution():
 
 
 def test_parse_bound_and_cards():
-    assert parse_bound("thm6") is BoundKind.SEMIDET_M1
+    assert parse_bound("semidet1") is BoundKind.SEMIDET_M1
     assert parse_bound("inner") is BoundKind.INNER
-    with pytest.raises(BoundsError):
-        parse_bound("middle")
+    for token in ("middle", "thm6"):  # thm6 was a historical alias of semidet1
+        with pytest.raises(BoundsError):
+            parse_bound(token)
     with pytest.raises(BoundsError):
         SearchCards(q=0).resolved(orthogonal_channel())
     resolved = SearchCards().resolved(orthogonal_channel())

@@ -16,7 +16,7 @@ def run(argv):
 
 def test_gauss_weak_writes_sweep_and_frontier(tmp_path, capsys):
     out = tmp_path / "gauss"
-    code = run(["gauss", "--mode", "thm7", "--a", 1, "--b", 0.5, "--p1", 20,
+    code = run(["gauss", "--mode", "weak", "--a", 1, "--b", 0.5, "--p1", 20,
                 "--p2", 20, "--steps", 200, "--out", out])
     assert code == 0
     sweep = (out / "sweep.csv").read_text().splitlines()
@@ -69,7 +69,7 @@ def test_every_command_replays_from_its_manifest(tmp_path, monkeypatch):
 
 
 def test_gauss_hypothesis_violation_exits_2(tmp_path, capsys):
-    code = run(["gauss", "--mode", "thm3", "--a", 1, "--b", 0.5, "--p1", 20,
+    code = run(["gauss", "--mode", "degraded", "--a", 1, "--b", 0.5, "--p1", 20,
                 "--p2", 20, "--steps", 10, "--out", tmp_path / "x"])
     assert code == 2
     assert "a*b" in capsys.readouterr().err
@@ -106,7 +106,7 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, documen
 
 def test_gauss_perfect_secrecy_strong_interference_zero_r1(tmp_path):
     out = tmp_path / "cor"
-    assert run(["gauss", "--mode", "cor3", "--a", 1, "--b", 2, "--p1", 20,
+    assert run(["gauss", "--mode", "secrecy", "--a", 1, "--b", 2, "--p1", 20,
                 "--p2", 20, "--steps", 40, "--out", out]) == 0
     rows = (out / "sweep.csv").read_text().splitlines()[1:]
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)

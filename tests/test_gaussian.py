@@ -149,12 +149,12 @@ def test_figure_dataset_shape_and_extremes():
 
 
 def test_mode_aliases():
-    assert parse_mode("thm7") is GaussMode.WEAK
-    assert parse_mode("thm3") is GaussMode.DEGRADED
-    assert parse_mode("cor3") is GaussMode.SECRECY
     assert parse_mode("weak") is GaussMode.WEAK
-    with pytest.raises(GaussError):
-        parse_mode("thm9")
+    assert parse_mode(" Degraded ") is GaussMode.DEGRADED
+    assert parse_mode("secrecy") is GaussMode.SECRECY
+    for token in ("thm7", "thm3", "cor3", "thm9"):  # the first three were historical aliases
+        with pytest.raises(GaussError):
+            parse_mode(token)
 
 
 def test_gauss_point_invariants():

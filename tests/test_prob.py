@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crcsec import bounds
 from crcsec.prob import (
     Informations,
     JointPmf,
@@ -266,6 +267,52 @@ def test_memoized_informations_equal_one_shot_calls(p, queries):
         a, b, c = split(p.axes, role)
         assert info.i(a, b, c) == conditional_mutual_information(p, a, b, c)
         assert info.h(a + c) == entropy(p, a + c)
+
+
+@st.composite
+def stacked_rows(draw, names=("A", "B", "C", "D")):
+    """A pool of degenerate, copy-pattern and full-support rows, and a stack of
+    them whose height lies on either side of the rows one candidate stack holds."""
+    cards = tuple(draw(st.integers(2, 5)) for _ in names)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for kind in draw(st.lists(st.sampled_from(["degenerate", "copy", "full"]), min_size=1, max_size=6)):
+        row = np.zeros(cards)
+        if kind == "degenerate":
+            row[tuple(int(rng.integers(c)) for c in cards)] = 1.0
+        elif kind == "copy":  # uniform source axis, the others copying it or fixed at 0
+            src = int(rng.integers(len(cards)))
+            copies = rng.integers(2, size=len(cards))
+            for v in range(cards[src]):
+                cell = tuple(v if k == src else v % c * copies[k] for k, c in enumerate(cards))
+                row[cell] += 1.0 / cards[src]
+        else:
+            row = rng.dirichlet(np.ones(row.size)).reshape(cards)
+        pool.append(row)
+    per_stack = bounds._STACK_FLOATS // int(np.prod(cards))
+    height = draw(st.sampled_from([1, per_stack, per_stack + 1, 2 * per_stack + 3]))
+    which = rng.integers(len(pool), size=height)
+    return names, pool, which
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=stacked_rows(), queries=st.lists(roles, min_size=1, max_size=4))
+def test_stacked_informations_equal_one_shot_rows(case, queries):
+    names, pool, which = case
+    info = Informations(names, np.stack(pool)[which])
+    joints = [JointPmf(names, row) for row in pool]
+
+    def same_bits(got, want):
+        return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    for role in queries:
+        a, b, c = split(names, role)
+        want = np.array([conditional_mutual_information(p, a, b, c) for p in joints])
+        assert same_bits(info.i(a, b, c), want[which])
+        for group in (a + c, b + c, a + b + c, c):
+            if group:
+                want = np.array([entropy(p, group) for p in joints])
+                assert same_bits(info.h(group), want[which])
 
 
 def loop_typical(words, p, eps):
