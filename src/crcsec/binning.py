@@ -21,9 +21,13 @@ reintroduces W by enlarging the X2 alphabet):
   triple.
 - equivocation: computed exactly at small n, conditional on the realized
   codebook, as one weighted sum over every word the encoder can send
-  (weight: uniform message times the encoder's uniform bin choice). Each
-  word's likelihood of all ``|Y|^n`` observation sequences is built on
-  that lattice from per-position factors; ``exact_budget`` bounds ``|Y|^n``.
+  (weight: uniform message times the encoder's uniform bin choice). The
+  block splits as n = a + b, a = n // 2; each message row's ``P(m, y^n)``
+  is one matrix product of its words' weighted ``|Y|^a`` prefix and
+  ``|Y|^b`` suffix likelihood lattices. Rows are streamed into H(M, Y)
+  and one ``|Y|^n`` accumulator of p(y), so memory beyond that vector is
+  one batch of whole rows (``_LATTICE_BLOCK`` lattice floats, at least one
+  row); ``exact_budget`` bounds ``|Y|^n``.
 
 Typicality is the stacked kernel :func:`~crcsec.prob.typical_mask` with
 the per-cell tolerance scaled by the distribution's support size
@@ -45,12 +49,12 @@ from typing import Any
 import numpy as np
 
 from .channel import ChannelError, DiscreteCRC, induce_joint, load_channel
-from .prob import Informations, JointPmf, marginalize, positive_part, typical_mask
+from .prob import Informations, JointPmf, _entropy_of, marginalize, positive_part, typical_mask
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
 DEFAULT_MAX_SEQUENCES = 1 << 20
-_LATTICE_BLOCK = 1 << 16  # likelihood-lattice floats per block of words
+_LATTICE_BLOCK = 1 << 16  # prefix + suffix lattice floats per batch of whole rows (at least one)
 
 
 class SimError(ValueError):
@@ -382,11 +386,23 @@ def sample_outputs(
 
 
 def _clopper_pearson(k: int, n: int, conf: float = 0.95) -> tuple[float, float]:
-    from scipy.stats import beta as _beta_dist  # here: importing it takes over a second
+    # the Beta quantiles of scipy.stats.beta.ppf, bit for bit, without the
+    # second-long import of scipy.stats (scipy.special takes about 0.3 s)
+    from scipy.special import betaincinv
+
     alpha = 1.0 - conf
-    lo = 0.0 if k == 0 else float(_beta_dist.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_beta_dist.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
+
+
+def _lattice(factors: np.ndarray) -> np.ndarray:
+    """Each word's likelihood of every sequence on its ``|Y|^t`` lattice, from a
+    ``(words, t, |Y|)`` stack of per-position factors; y_0 most significant."""
+    lattice = np.ones((len(factors), 1))
+    for t in range(factors.shape[1]):
+        lattice = (lattice[:, :, None] * factors[:, t, None, :]).reshape(len(factors), -1)
+    return lattice
 
 
 def exact_equivocation(
@@ -402,8 +418,10 @@ def exact_equivocation(
     the encoder can send: messages are uniform, the encoder's choice is
     uniform over a message's typical bin pairs, and an encoding failure
     sends the fixed arbitrary codeword, exactly as :func:`encode` does.
-    Each word's likelihood of every observable sequence is the product of
-    its per-position factors on the ``|Y|^n`` lattice.
+    With n = a + b, a = n // 2, each message row's ``P(m, y^n)`` is one
+    product ``(w * F_a).T @ F_b`` of its words' weights and prefix and
+    suffix likelihood lattices; rows stream into H(M, Y) and one ``|Y|^n``
+    accumulator of p(y), and the result is H(M, Y) - H(Y).
     """
     counts = cb.counts
     n = cb.n
@@ -425,31 +443,31 @@ def exact_equivocation(
     sendable[:, :, :, 0, 0] |= ~sendable.any(axis=(3, 4))
     n_pairs = sendable.sum(axis=(3, 4))
     m22, m21, m1, l21, l1 = np.nonzero(sendable)
-    weights = w_msg / n_pairs[m22, m21, m1]
     rows = m1 if observer == "m1_at_y2" else m22 * n_m21 + m21
-    lik = np.zeros((n_rows, total))
-    cells = np.arange(total)
-    block = max(1, _LATTICE_BLOCK // total)
-    for lo in range(0, len(rows), block):
-        sl = slice(lo, lo + block)
+    # grouped by row; inside a row, words keep their message and bin-pair order
+    order = np.argsort(rows, kind="stable")
+    m22, m21, m1, l21, l1 = (idx[order] for idx in (m22, m21, m1, l21, l1))
+    weights = w_msg / n_pairs[m22, m21, m1]
+    bounds = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
+    a = n // 2
+    batch_words = _LATTICE_BLOCK // (obs_card**a + obs_card ** (n - a))
+    h_joint, p_y = 0.0, np.zeros(total)
+    lo = 0
+    while lo < n_rows:
+        # whole rows, at least one, so that a row's arithmetic never
+        # depends on the batch it lands in
+        hi = max(lo + 1, int(np.searchsorted(bounds, bounds[lo] + batch_words, side="right")) - 1)
+        sl = slice(bounds[lo], bounds[hi])
         factors = p_obs[cb.x1_words[m22[sl], m21[sl], l21[sl], m1[sl], l1[sl]], cb.x2_words[m22[sl]]]
-        prod = factors[:, 0, :]  # P(y_0..y_t | word), left to right, y_0 most significant
-        for t in range(1, n):
-            # one product per output letter: a broadcast over a length-|Y|
-            # inner axis is several times slower
-            step = np.empty(prod.shape + (obs_card,))
-            for y in range(obs_card):
-                np.multiply(prod, factors[:, t, y, None], out=step[:, :, y])
-            prod = step.reshape(len(prod), -1)
-        # unbuffered adds in word order, so each row sums its words in the
-        # order of the message and bin-pair loops
-        cell_index = (rows[sl, None] * total + cells).ravel()
-        np.add.at(lik.reshape(-1), cell_index, (weights[sl, None] * prod).ravel())
-    p_joint = lik / n_rows
-    p_y = p_joint.sum(axis=0)
-    mask = p_joint > 0.0
-    cond = np.log2(p_joint[mask] / np.broadcast_to(p_y, p_joint.shape)[mask])
-    return float(-(p_joint[mask] * cond).sum()) + 0.0  # avoid IEEE -0.0
+        prefix = weights[sl, None] * _lattice(factors[:, :a])
+        suffix = _lattice(factors[:, a:])
+        for row in range(lo, hi):
+            ws = slice(bounds[row] - bounds[lo], bounds[row + 1] - bounds[lo])
+            p_row = (prefix[ws].T @ suffix[ws]).ravel() / n_rows  # P(m, y^n), y_0 most significant
+            h_joint += _entropy_of(p_row)
+            p_y += p_row
+        lo = hi
+    return h_joint - _entropy_of(p_y) + 0.0  # H(M, Y) - H(Y); + 0.0 avoids IEEE -0.0
 
 
 @dataclass(frozen=True)

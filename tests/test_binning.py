@@ -1,7 +1,11 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +322,69 @@ def test_exact_equivocation_budget():
         exact_equivocation(cb, ch, "m1_at_y2", budget=100)
     with pytest.raises(SimError):
         exact_equivocation(cb, ch, "m3_at_y9")
+
+
+@pytest.mark.parametrize("cards", [(2, 2, 2, 2), (2, 2, 2, 3)])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_split_lattice_matches_brute_force_on_random_kernels(monkeypatch, cards, n):
+    # n = 1 splits the block as a = 0, odd n as a < b; Y2 is ternary in the
+    # second kernel. Two of every message, two V bins and three U bins; eps
+    # makes every bin pair typical at n = 1, sends every message's fallback
+    # word at n = 2, and leaves 2-6 typical pairs otherwise.
+    rng = np.random.default_rng(10 + n)
+    ch = DiscreteCRC(rng.dirichlet(np.ones(cards[2] * cards[3]), size=cards[:2]).reshape(cards))
+    probs = np.zeros((2, 2, 2, 2))  # U = X1, V a noisy copy of X2
+    for v, u, x2 in product(range(2), repeat=3):
+        probs[v, u, u, x2] = (0.75 if v == x2 else 0.25) / 4
+    aux = prob.JointPmf(("V", "U", "X1", "X2"), probs)
+    r, eps = 1.0 / n, {1: 0.2, 2: 0.02}.get(n, 0.05)
+    rates = SchemeRates(r1=r, r21=r, r22=r, l1=r + math.log2(3) / n, l1b=0.0, l21=2 * r, l21b=0.0, eps=eps, n=n)
+    cb = build_codebook(ch, aux, rates, seed=n)
+    assert cb.counts == {"n_m1": 2, "n_l1": 3, "n_m21": 2, "n_l21": 2, "n_m22": 2}
+    assert (cb.typical.sum(axis=(2, 4)).min() >= 2) == (n != 2)
+    for observer in ("m1_at_y2", "m2_at_y1"):
+        fast = exact_equivocation(cb, ch, observer)
+        assert abs(fast - brute_force_equivocation(cb, ch, observer)) < 1e-10
+        monkeypatch.setattr(binning, "_LATTICE_BLOCK", 1)  # one row per batch
+        assert exact_equivocation(cb, ch, observer) == fast
+        monkeypatch.undo()
+
+
+def test_orthogonal_equivocation_exact_at_n14():
+    # 128 rows of 128 words on a 2^7 x 2^7 split, two rows per default batch
+    ch, aux = _benchmark_setup()
+    rates = derive_scheme_rates(ch, aux, r1=0.5, r21=0.0, r22=0.5, eps=0.2, n=14)
+    cb = build_codebook(ch, aux, rates, seed=1)
+    assert exact_equivocation(cb, ch, "m1_at_y2") == 7.0
+
+
+@pytest.mark.parametrize("conf", [0.95, 0.9])
+def test_clopper_pearson_equals_beta_quantiles(conf):
+    from scipy.stats import beta
+
+    alpha = 1.0 - conf
+    for n in (1, 2, 3, 10, 57, 200, 399):
+        for k in range(n + 1):
+            lo, hi = binning._clopper_pearson(k, n, conf)
+            assert lo == (0.0 if k == 0 else float(beta.ppf(alpha / 2, k, n - k + 1)))
+            assert hi == (1.0 if k == n else float(beta.ppf(1 - alpha / 2, k + 1, n - k)))
+
+
+def test_run_trials_leaves_scipy_stats_unimported():
+    code = (
+        "import sys\n"
+        "from crcsec.accept import _benchmark_setup\n"
+        "from crcsec.binning import derive_scheme_rates, run_trials\n"
+        "ch, aux = _benchmark_setup()\n"
+        "rates = derive_scheme_rates(ch, aux, r1=0.5, r21=0.0, r22=0.5, eps=0.2, n=4)\n"
+        "report = run_trials(ch, aux, rates, trials=3, seed=0)\n"
+        "assert report.decode1_error_ci[1] > 0.0 and 'scipy.special' in sys.modules\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    src = str(Path(binning.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_benchmark_equivocation_close_to_u_bin_rate():
