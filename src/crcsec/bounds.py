@@ -21,7 +21,7 @@ distribution was found at the given sampling effort, never a proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from itertools import product
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import DiscreteCRC, detect_semi_deterministic, push_through
 from .prob import Informations, JointPmf
-from .region import RatePoint, Region, _skyline, pareto_filter
+from .region import RatePoint, Region, _first_distinct, _skyline, pareto_filter
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
 # channels satisfying an ordering termwise (e.g. identical outputs) yield
@@ -38,7 +38,6 @@ from .region import RatePoint, Region, _skyline, pareto_filter
 CAP_SNAP_TOL = 1e-9
 CONDITION_TOL = 1e-9
 MAX_ENUMERATED_MAPS = 256
-SEARCH_CHUNK = 256  # new frontier points collected between two skyline merges
 _STACK_FLOATS = 1 << 15  # cap on the extended-joint floats of one candidate stack
 
 
@@ -50,21 +49,22 @@ def _clip_rate(x: float) -> float:
     return x if x > CAP_SNAP_TOL else 0.0
 
 
-def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[RatePoint]:
-    """Vertex set of {0<=R1<=a, 0<=R2<=b, R1+R2<=s} with secrecy coords."""
+def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[tuple[float, ...]]:
+    """Corner rows ``(r1, r2, re1, re2)`` of {0<=R1<=a, 0<=R2<=b, R1+R2<=s},
+    with Re_i = min(R_i, E_i). Corners that agree to 12 decimals merge (the
+    first in set order wins); dominated corners are left to the caller's skyline."""
     a, b, s, e1, e2 = (_clip_rate(x) for x in (a, b, s, e1, e2))
     s = min(s, a + b)
-    corners = {
+    corners = list({
         (min(a, s), 0.0),
         (0.0, min(b, s)),
         (a, min(b, s - a)) if s >= a else (s, 0.0),
         (min(a, s - b), b) if s >= b else (0.0, s),
-    }
-    points = [
-        RatePoint(r1, r2, min(r1, e1), min(r2, e2))
-        for r1, r2 in corners
+    })
+    return [
+        (r1, r2, min(r1, e1), min(r2, e2))
+        for r1, r2 in (corners[i] for i in _first_distinct(corners))
     ]
-    return list(pareto_filter(points, ("r1", "r2")).frontier)
 
 
 # A bound's caps (A, B, S, E1, E2) per row of a stack of extended joints:
@@ -214,7 +214,8 @@ def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoi
     missing = [name for name in spec.aux_axes if not aux.has_axes([name])]
     if missing:
         raise BoundsError(f"auxiliary joint lacks axes {missing}")
-    return _vertices(*_caps(ch, spec, aux.axes, aux.probs[None])[:, 0].tolist())
+    rows = _vertices(*_caps(ch, spec, aux.axes, aux.probs[None])[:, 0].tolist())
+    return list(pareto_filter([RatePoint(*row) for row in rows], ("r1", "r2")).frontier)
 
 
 def parse_bound(token: str) -> BoundKind:
@@ -345,8 +346,9 @@ def search_region(
     Evaluates the bound at the structured candidates and then at ``samples``
     flat-Dirichlet draws (per-draw seeds derived from ``(seed, index)``, so
     enlarging ``samples`` only ever adds points). The frontier is the exact
-    maximal set of all their vertices: no 12-decimal merge, and of equal
-    points the first found wins, its ``meta`` recording the distribution.
+    maximal set of all their vertices: only corners of one candidate that
+    agree to 12 decimals merge; across candidates ties are exact and the first
+    found wins, its ``meta`` recording the distribution.
     """
     bound = parse_bound(bound) if isinstance(bound, str) else bound
     if samples < 0:
@@ -356,20 +358,24 @@ def search_region(
     axes = [(n, resolved[n]) for n in spec.aux_axes] + [("X1", ch.cards[0]), ("X2", ch.cards[1])]
     names = tuple(n for n, _ in axes)
     dims = bound_dims(bound, secrecy)
-    zeroed = {} if secrecy else {"re1": 0.0, "re2": 0.0}
-    frontier: list[RatePoint] = []
-    new: list[RatePoint] = []
+    cols = [_ALL_DIMS.index(d) for d in dims]
+    frontier = np.empty((0, len(dims)))
+    owners: list[tuple[str, int, np.ndarray]] = []  # (source, index, aux) of each frontier row
     for source, start, stack in _candidate_stacks(ch, structured_candidates(ch, axes), samples, seed):
+        rows = []
         for r, caps in enumerate(_caps(ch, spec, names, stack).T.tolist()):
-            meta = {"source": source, "index": start + r, "aux": stack[r].copy()}
-            new += [replace(p, meta=meta, **zeroed) for p in _vertices(*caps)]
-            if len(new) >= SEARCH_CHUNK:  # the running frontier goes first: it was found first
-                frontier, new = _skyline(frontier + new, dims), []
-    frontier = [
-        replace(p, meta={**p.meta, "aux": JointPmf(names, p.meta["aux"])})
-        for p in _skyline(frontier + new, dims)
+            corners = _vertices(*caps)
+            rows += corners
+            owners += [(source, start + r, stack[r].copy())] * len(corners)
+        # the running frontier goes first: it was found first
+        frontier = np.concatenate([frontier, np.array(rows)[:, cols]])
+        keep = _skyline(frontier)
+        frontier, owners = frontier[keep], [owners[i] for i in keep]
+    points = [
+        RatePoint(**dict(zip(dims, row)), meta={"source": src, "index": i, "aux": JointPmf(names, aux)})
+        for row, (src, i, aux) in zip(frontier.tolist(), owners)
     ]
-    return Region(tuple(frontier), dims)
+    return Region(tuple(points), dims)
 
 
 class Condition(str, Enum):

@@ -9,8 +9,9 @@ outputs byte-identically. check without ``--out`` writes nothing, and
 verify writes only the JSON summary named by its ``--out``. Numeric output
 uses 9 decimal digits, period decimal separator.
 
-Exit codes: 0 success / condition holds, 2 I/O or configuration error,
-3 condition violated, 4 scheme-rate validation failure.
+Exit codes: 0 success / condition holds, 1 a verify criterion failed,
+2 I/O or configuration error, 3 condition violated, 4 scheme-rate
+validation failure; ``main`` maps every command's errors onto them.
 """
 
 from __future__ import annotations
@@ -59,8 +60,6 @@ def _load_config_overlay(args: argparse.Namespace, keys: Sequence[str]) -> dict[
     if getattr(args, "config", None):
         try:
             raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise CliError(f"cannot parse config file {args.config}: {exc}")
         raw = raw.get("config", raw) if isinstance(raw, dict) else raw
@@ -87,12 +86,9 @@ def _sweep_rows(points: list[region.RatePoint], dims: tuple[str, ...]) -> list[s
 
 def cmd_gauss(args: argparse.Namespace) -> int:
     cfg = _load_config_overlay(args, ["mode", "a", "b", "p1", "p2", "steps", "out"])
-    try:
-        mode = gaussian.parse_mode(str(cfg["mode"]))
-        g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
-        points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
-    except CONFIG_ERRORS as exc:
-        raise CliError(str(exc))
+    mode = gaussian.parse_mode(str(cfg["mode"]))
+    g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
+    points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
     dims = gaussian.MODE_DIMS[mode]
     rows = _sweep_rows(points, dims)
     reg = region.pareto_filter(points, dims)
@@ -123,20 +119,13 @@ def cmd_figure2(args: argparse.Namespace) -> int:
 
 def cmd_discrete(args: argparse.Namespace) -> int:
     cfg = _load_config_overlay(args, ["bound", "channel", "cards", "samples", "seed", "out"])
-    try:
-        kind = bounds.parse_bound(str(cfg["bound"]))
-        ch = load_channel(cfg["channel"])
-        cards_raw = cfg["cards"]
-        if isinstance(cards_raw, str):
-            cards_raw = [int(v) for v in cards_raw.split(",")]
-        cards = bounds.SearchCards(*[int(v) for v in cards_raw])
-        reg = bounds.search_region(
-            ch, kind, cards=cards, samples=int(cfg["samples"]), seed=int(cfg["seed"])
-        )
-    except FileNotFoundError as exc:
-        raise CliError(f"channel file not found: {exc.filename}")
-    except CONFIG_ERRORS as exc:
-        raise CliError(str(exc))
+    kind = bounds.parse_bound(str(cfg["bound"]))
+    ch = load_channel(cfg["channel"])
+    cards_raw = cfg["cards"]
+    if isinstance(cards_raw, str):
+        cards_raw = [int(v) for v in cards_raw.split(",")]
+    cards = bounds.SearchCards(*[int(v) for v in cards_raw])
+    reg = bounds.search_region(ch, kind, cards=cards, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
     outdir = Path(cfg["out"])
     outdir.mkdir(parents=True, exist_ok=True)
     region.export_csv(reg, outdir / "frontier.csv", sidecar=outdir / "frontier_meta.json")
@@ -150,14 +139,9 @@ def cmd_discrete(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     cfg = _load_config_overlay(args, ["channel", "condition", "samples", "seed"])
-    try:
-        cond = bounds.parse_condition(str(cfg["condition"]))
-        ch = load_channel(cfg["channel"])
-        report = bounds.check_condition(ch, cond, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
-    except FileNotFoundError as exc:
-        raise CliError(f"channel file not found: {exc.filename}")
-    except CONFIG_ERRORS as exc:
-        raise CliError(str(exc))
+    cond = bounds.parse_condition(str(cfg["condition"]))
+    ch = load_channel(cfg["channel"])
+    report = bounds.check_condition(ch, cond, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
     payload = report.to_jsonable()
     if args.out:
         outdir = Path(args.out)
@@ -171,18 +155,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        cfg = binning.load_sim_config(args.config)
-    except FileNotFoundError as exc:
-        raise CliError(f"file not found: {exc.filename}")
-    except CONFIG_ERRORS as exc:
-        raise CliError(str(exc))
-    try:
-        report = binning.run_simulation(cfg)
-    except binning.RateConstraintError as exc:
-        raise CliError(str(exc), code=EXIT_RATES)
-    except CONFIG_ERRORS as exc:
-        raise CliError(str(exc))
+    cfg = binning.load_sim_config(args.config)
+    report = binning.run_simulation(cfg)
     payload = report.to_jsonable()
     outdir = Path(args.out) if args.out else Path(args.config).parent
     outdir.mkdir(parents=True, exist_ok=True)
@@ -193,10 +167,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        results = accept.run_suite(args.suite)
-    except CONFIG_ERRORS as exc:
-        raise CliError(str(exc))
+    results = accept.run_suite(args.suite)
     for r in results:
         status = "pass" if r.passed else "FAIL"
         print(f"{r.criterion} {status} ({r.seconds:.2f}s) - {r.detail}")
@@ -275,8 +246,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        message, code = str(exc), exc.code
+    except binning.RateConstraintError as exc:
+        message, code = str(exc), EXIT_RATES
+    except FileNotFoundError as exc:
+        message, code = f"file not found: {exc.filename}", EXIT_CONFIG
+    except (OSError, *CONFIG_ERRORS) as exc:
+        message, code = str(exc), EXIT_CONFIG
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -6,10 +6,13 @@ carry up to four coordinates (R1, R2, Re1, Re2); a region's ``dims`` names
 the coordinates that are active (regions without a secrecy guarantee for
 one message drop the corresponding equivocation coordinate).
 
-One sort-based skyline kernel computes every frontier: ``pareto_filter``
-(so ``merge``, ``project``, ``convexify_2d``) first merges points that agree
-to 12 decimals, ``bounds.search_region`` keeps exact ties; of equal points
-the first occurrence, with its ``meta``, wins.
+One sort-based skyline kernel, ``_skyline`` over coordinate arrays,
+computes every frontier; of equal rows the first occurrence wins. One rule,
+``_first_distinct``, merges points that agree to 12 decimals (the first
+wins): ``pareto_filter`` (so ``merge``, ``project``, ``convexify_2d``)
+applies it to all its points, ``bounds.search_region`` only to the corners
+of one candidate, so across candidates its ties are exact and the first
+found wins.
 
 CSV export: header lists active dims (``R1,R2,Re1,Re2`` subset), values at
 9 decimal digits, rows in lexicographically descending order; re-import
@@ -105,15 +108,15 @@ def _ge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
-def _skyline(points: list[RatePoint], dims: tuple[str, ...]) -> list[RatePoint]:
-    """Maximal points in descending lexicographic order (the one frontier kernel).
+def _skyline(rows: np.ndarray) -> np.ndarray:
+    """Indices of the maximal rows of an ``(N, d)`` array, in descending
+    lexicographic order (the one frontier kernel).
 
     After a stable descending sort only an earlier row can dominate a later
     one, so (dominance being transitive) a row is maximal iff no earlier row
     dominates it; ties count, so of equal rows the first wins. Each block of
     rows is tested at once against the rows kept before it and its own.
     """
-    rows = _coords(points, dims)
     order = np.lexsort(-rows.T[::-1])
     rows = rows[order]
     keep = np.zeros(len(rows), dtype=bool)
@@ -123,16 +126,25 @@ def _skyline(points: list[RatePoint], dims: tuple[str, ...]) -> list[RatePoint]:
         if lo:
             beaten |= _ge(rows[:lo][keep[:lo]], block).any(axis=0)
         keep[lo : lo + SKYLINE_BLOCK] = ~beaten
-    return [points[i] for i in order[keep]]
+    return order[keep]
+
+
+def _first_distinct(rows: list[tuple[float, ...]]) -> list[int]:
+    """Index of the first of each group of rows that agree to 12 decimals."""
+    distinct: dict[tuple[float, ...], int] = {}
+    for i, row in enumerate(rows):
+        distinct.setdefault(tuple(round(c, DEDUPE_DECIMALS) for c in row), i)
+    return list(distinct.values())
 
 
 def pareto_filter(points: Iterable[RatePoint], dims: Iterable[str] = DIM_FIELDS) -> Region:
     """Maximal antichain of ``points``, after merging 12-decimal duplicates."""
     dims = _check_dims(dims)
-    distinct: dict[tuple[float, ...], RatePoint] = {}
-    for p in points:
-        distinct.setdefault(tuple(round(c, DEDUPE_DECIMALS) for c in p.coords(dims)), p)
-    return Region(tuple(_skyline(list(distinct.values()), dims)), dims)
+    points = list(points)
+    coords = [p.coords(dims) for p in points]
+    distinct = _first_distinct(coords)
+    rows = np.array([coords[i] for i in distinct], dtype=float).reshape(-1, len(dims))
+    return Region(tuple(points[distinct[i]] for i in _skyline(rows)), dims)
 
 
 def merge(a: Region, b: Region) -> Region:

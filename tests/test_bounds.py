@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from crcsec import bounds, prob
 from crcsec.bounds import (
     BOUNDS,
-    SEARCH_CHUNK,
     BoundKind,
     BoundsError,
     Condition,
@@ -214,18 +213,27 @@ def test_search_frontier_monotone_in_samples(kind, channel, samples, seed):
         assert any(dominates(q, p, small.dims) for q in big.frontier)
 
 
-@pytest.mark.parametrize("chunk", [SEARCH_CHUNK, 1])
-def test_search_equals_exact_maximal_set_across_chunks(chunk, monkeypatch):
+@pytest.mark.parametrize("stack_floats", [bounds._STACK_FLOATS, 1], ids=["default-stacks", "one-per-stack"])
+@pytest.mark.parametrize(
+    "channel, kind, samples, min_found",
+    [(xor_channel, BoundKind.SEMIDET, 300, 512), (erasure_cascade_channel, BoundKind.OUTER, 100, 300)],
+    ids=["xor-semidet", "erasure-outer"],
+)
+def test_search_equals_exact_maximal_set_across_chunks(
+    channel, kind, samples, min_found, stack_floats, monkeypatch
+):
     """All candidates' vertices at once: exact ties, the first found wins.
 
-    With one point per chunk, ties between the running frontier and later
-    points occur, so the merge order is checked as well.
+    With one candidate per stack, every candidate is its own merge, so ties
+    between the running frontier and later points occur and the merge order
+    is checked as well. The erasure cascade has candidates with two corners
+    that agree to 12 decimals, so the per-candidate merge is checked too.
     """
-    monkeypatch.setattr(bounds, "SEARCH_CHUNK", chunk)
-    ch, kind, cards, samples, seed = xor_channel(), BoundKind.SEMIDET, SearchCards(), 300, 5
+    monkeypatch.setattr(bounds, "_STACK_FLOATS", stack_floats)
+    ch, cards, seed = channel(), SearchCards(), 5
     reg = search_region(ch, kind, cards=cards, samples=samples, seed=seed)
     resolved = cards.resolved(ch)
-    axes = [(n, resolved[n]) for n in BOUNDS[kind].aux_axes] + [("X1", 2), ("X2", 2)]
+    axes = [(n, resolved[n]) for n in BOUNDS[kind].aux_axes] + [("X1", ch.cards[0]), ("X2", ch.cards[1])]
     names = tuple(n for n, _ in axes)
     joints = [
         (src, start + r, prob.JointPmf(names, row))
@@ -233,7 +241,7 @@ def test_search_equals_exact_maximal_set_across_chunks(chunk, monkeypatch):
         for r, row in enumerate(stack)
     ]
     found = [((src, i), p.coords(reg.dims)) for src, i, j in joints for p in bound_point(ch, kind, j)]
-    assert len(found) > 2 * SEARCH_CHUNK
+    assert len(found) > min_found
     c = np.array([coords for _, coords in found])
     ge = (c[:, None, :] >= c[None, :, :]).all(axis=2)  # ge[j, i]: j dominates i
     eq = (c[:, None, :] == c[None, :, :]).all(axis=2)

@@ -81,15 +81,19 @@ def test_gauss_hypothesis_violation_exits_2(tmp_path, capsys):
         ("gauss", {"mode": "weak", "a": "x", "b": 0.5, "p1": 20, "p2": 20, "steps": 10}),
         ("discrete", {"bound": "inner", "cards": "1,1,1,2", "samples": "abc", "seed": 0}),
         ("check", {"condition": "semidet11", "samples": "abc", "seed": 0}),
+        ("figure2", {"outdir": 5}),
+        ("gauss", {"mode": "weak", "a": 1, "b": 0.5, "p1": 20, "p2": 20, "steps": 10, "out": 5}),
+        ("discrete", {"bound": "inner", "cards": "1,1,1,2", "samples": 2, "seed": 0, "out": 5}),
     ],
 )
 def test_malformed_config_value_exits_2(tmp_path, capsys, command, config):
     write_channel(orthogonal_channel(), tmp_path / "orth.json")
-    if command != "gauss":
+    if command in ("discrete", "check"):
         config = dict(config, channel=str(tmp_path / "orth.json"))
     path = tmp_path / "c.json"
     path.write_text(json.dumps(config))
-    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    out = [] if {"out", "outdir"} & set(config) else ["--out", tmp_path / "out"]
+    assert run([command, "--config", path, *out]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 
@@ -102,6 +106,24 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, documen
     assert run([command, "--config", path, out_flag, tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("command", ["check", "simulate"])
+def test_unwritable_output_dir_exits_2(tmp_path, capsys, command):
+    ch, aux = _benchmark_setup()
+    write_channel(ch, tmp_path / "orth.json")
+    sim = tmp_path / "sim.json"
+    sim.write_text(json.dumps({"channel": "orth.json", "aux": aux.to_jsonable(), "n": 4,
+                               "r1": 0.0, "r21": 0.0, "r22": 0.0, "eps": 0.2, "trials": 2, "seed": 5}))
+    flags = {
+        "check": ["--channel", tmp_path / "orth.json", "--condition", "semidet11",
+                  "--samples", 2, "--seed", 0],
+        "simulate": ["--config", sim],
+    }[command]
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    assert run([command, *flags, "--out", blocker / "x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_gauss_perfect_secrecy_strong_interference_zero_r1(tmp_path):
@@ -168,8 +190,10 @@ def test_check_exit_codes(tmp_path, capsys):
     assert code == 3
     report = json.loads((tmp_path / "chk" / "condition_report.json").read_text())
     assert report["violated"] is True
+    capsys.readouterr()
     assert run(["check", "--channel", tmp_path / "nope.json", "--condition", "semidet11",
                 "--samples", 10, "--seed", 0]) == 2
+    assert capsys.readouterr().err == f"error: file not found: {tmp_path / 'nope.json'}\n"
 
 
 def test_simulate_cli(tmp_path, capsys):
