@@ -6,8 +6,10 @@ binning-code simulator) is built on the small toolkit in this module:
 - :class:`JointPmf`, a dense probability tensor with named axes.
 - Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``), one-shot
   (:func:`entropy`) or memoized over a stack of S joints of one shape by
-  :class:`Informations`, whose length-S arrays equal the one-shot values
-  bit for bit; one joint is the S = 1 stack.
+  :class:`Informations`, which sums each marginal of its axis-last stack
+  in numpy's own order, so its length-S arrays equal the one-shot values
+  bit for bit (a numpy that changes that order fails the parity test, not
+  the outputs silently); one joint is the S = 1 stack.
 - Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
 - Strong joint typicality, one kernel over stacks of words:
   :func:`typical_mask` takes integer arrays of shape ``(..., n)`` per
@@ -21,6 +23,7 @@ use is safe.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
@@ -135,15 +138,15 @@ def _as_name_set(vars_: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(vars_)
 
 
-def _sum_onto(axes: tuple[str, ...], probs: np.ndarray, keep: str | Iterable[str], lead: int = 0):
-    """Kept axes and ``probs`` (``lead`` stack axes, then ``axes``) summed onto ``keep``."""
+def _sum_onto(axes: tuple[str, ...], probs: np.ndarray, keep: str | Iterable[str]):
+    """Kept axes and ``probs`` (over ``axes``) summed onto ``keep``."""
     keep_set = set(_as_name_set(keep))
     unknown = keep_set - set(axes)
     if unknown:
         raise ProbError(f"unknown variable {sorted(unknown)[0]!r}; axes are {axes}")
     if not keep_set:
         raise ProbError("must keep at least one variable")
-    drop = tuple(lead + i for i, a in enumerate(axes) if a not in keep_set)
+    drop = tuple(i for i, a in enumerate(axes) if a not in keep_set)
     return tuple(a for a in axes if a in keep_set), probs.sum(axis=drop) if drop else probs
 
 
@@ -173,6 +176,51 @@ def _row_entropies(flat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise sum of a ``(..., n, S)`` array over axis -2, for each
+    of the S columns: sequential below 8 terms, eight strided accumulators
+    combined as a tree up to 128, halves (a multiple of 8 first) above."""
+    n = a.shape[-2]
+    if n < 8:
+        return a.sum(axis=-2)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise(a[..., :half, :]) + _pairwise(a[..., half:, :])
+    m = n - n % 8
+    r = a[..., :m, :].reshape(a.shape[:-2] + (m // 8, 8, a.shape[-1])).sum(axis=-3)
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    r = r[..., 0::2, :] + r[..., 1::2, :]
+    r = r[..., 0, :] + r[..., 1, :]
+    for i in range(m, n):
+        r += a[..., i, :]
+    return r
+
+
+@functools.lru_cache(maxsize=1024)
+def _sum_plan(cards: tuple[int, ...], drop: tuple[int, ...]):
+    """:func:`_stacked_sum`'s shapes: the non-unit axes before the trailing run of
+    dropped ones, that run's length, the dropped axes among them, the kept cards."""
+    axes = [(card, i in drop) for i, card in enumerate(cards) if card > 1]
+    run = 1
+    while axes and axes[-1][1]:
+        run *= axes.pop()[0]
+    outer = tuple(i for i, (_, dropped) in enumerate(axes) if dropped)
+    kept = tuple(card for i, card in enumerate(cards) if i not in drop)
+    return tuple(card for card, _ in axes), run, outer, kept
+
+
+def _stacked_sum(last: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
+    """``(*kept, S)``: column s is ``row.sum(axis=drop)`` bit for bit, ``row`` the
+    C-contiguous ``last[..., s]``, for S >= 2. That sum ignores unit axes, adds the
+    trailing run of dropped axes pairwise and the other dropped axes one after
+    another in C order. The kernel takes the same steps on length-S vectors: numpy
+    sums along any axis but the last (here the stack axis) term by term, in order."""
+    shape, run, outer, kept = _sum_plan(last.shape[:-1], drop)
+    s = last.shape[-1]
+    x = _pairwise(last.reshape(shape + (run, s))) if run > 1 else last.reshape(shape + (s,))
+    return (x.sum(axis=outer) if outer else x).reshape(kept + (s,))
+
+
 def entropy(p: JointPmf, vars_: str | Iterable[str]) -> float:
     """Joint Shannon entropy H(vars) in bits (the marginal is not re-validated)."""
     names = _as_name_set(vars_)
@@ -184,18 +232,22 @@ def entropy(p: JointPmf, vars_: str | Iterable[str]) -> float:
 class Informations:
     """Memoized Shannon quantities of a stack of joint pmfs, in bits.
 
-    ``Informations(axes, stack)`` holds S joints over ``axes`` as one
+    ``Informations(axes, stack)`` holds S joints over ``axes``, given as one
     ``(S, *cards)`` array, ``Informations(p)`` the S = 1 stack of ``p``;
-    :meth:`h` and :meth:`i` return length-S arrays. Each entropy is summed
-    once per variable set from the full tensors (never from a cached smaller
-    marginal), so each row equals a one-shot :func:`entropy` of that row bit
-    for bit, whatever the query order and the other rows.
+    :meth:`h` and :meth:`i` return length-S arrays. The stack is copied once
+    with the stack axis last (``self.stack`` is an ``(S, *cards)`` view), and
+    each entropy is summed once per variable set from the full tensors (never
+    from a cached smaller marginal) in numpy's summation order of one row,
+    by :func:`_stacked_sum` (one row: as :func:`entropy` sums it). So each
+    row equals a one-shot :func:`entropy` of that row bit for bit, whatever
+    the query order and the other rows.
     """
 
     def __init__(self, p: JointPmf | Sequence[str], stack: np.ndarray | None = None) -> None:
         if stack is None:
             p, stack = p.axes, p.probs[None]
-        self.axes, self.stack = tuple(p), stack
+        self.axes, self._last = tuple(p), np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+        self.stack = np.moveaxis(self._last, -1, 0)
         self._entropies: dict[frozenset[str], np.ndarray] = {}
 
     def h(self, vars_: str | Iterable[str]) -> np.ndarray:
@@ -206,9 +258,16 @@ class Informations:
         key = frozenset(names)
         value = self._entropies.get(key)
         if value is None:
-            marginal = _sum_onto(self.axes, self.stack, names, lead=1)[1]
-            value = self._entropies[key] = _row_entropies(marginal.reshape(len(marginal), -1))
+            if not key <= set(self.axes):
+                raise ProbError(f"unknown variable {sorted(key - set(self.axes))[0]!r}; axes are {self.axes}")
+            drop = tuple(i for i, a in enumerate(self.axes) if a not in key)
+            if len(self.stack) == 1:
+                value = np.array([_entropy_of(self.stack[0].sum(axis=drop))])
+            else:
+                marginal = _stacked_sum(self._last, drop).reshape(-1, len(self.stack))
+                value = _row_entropies(np.ascontiguousarray(marginal.T))
             value.flags.writeable = False
+            self._entropies[key] = value
         return value
 
     def i(

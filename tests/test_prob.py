@@ -1,9 +1,9 @@
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcsec import bounds
@@ -11,6 +11,7 @@ from crcsec.prob import (
     Informations,
     JointPmf,
     ProbError,
+    _stacked_sum,
     conditional_mutual_information,
     entropy,
     marginalize,
@@ -313,6 +314,38 @@ def test_stacked_informations_equal_one_shot_rows(case, queries):
             if group:
                 want = np.array([entropy(p, group) for p in joints])
                 assert same_bits(info.h(group), want[which])
+
+
+@st.composite
+def sum_stacks(draw):
+    """``(cards, S, seed, zero_frac)``: 2-7 axes of 1-6 values (unit axes
+    included) and at most ``1 << 16`` floats per stack."""
+    cards = draw(st.lists(st.integers(1, 6), min_size=2, max_size=7).filter(lambda c: np.prod(c) <= 1 << 15))
+    heights = [s for s in (2, 3, 40, 160) if s * np.prod(cards) <= 1 << 16]
+    return tuple(cards), draw(st.sampled_from(heights)), draw(st.integers(0, 2**32 - 1)), draw(
+        st.sampled_from([0.0, 0.3, 0.9])
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=sum_stacks())
+@example(case=((3, 2, 5, 4), 160, 1, 0.3))  # trailing runs of 4, 20, 40 and 120
+@example(case=((1, 6, 6, 6, 1), 3, 2, 0.0))  # a trailing run of 216 past a unit axis
+@example(case=((6, 1, 6, 6, 6), 40, 3, 0.9))  # trailing runs of 216 and 1296
+def test_stacked_sum_equals_numpy_sum_bit_for_bit(case):
+    """Every drop subset of an axis-last stack sums to numpy's own ``sum`` of
+    the ``(S, *cards)`` stack, bit for bit: rows with zeros, unit axes, and
+    trailing runs of dropped axes below 8, from 8 to 128 and above 128."""
+    cards, height, seed, zero_frac = case
+    rng = np.random.default_rng(seed)
+    stack = rng.random((height, *cards)) * (rng.random((height, *cards)) >= zero_frac)
+    last = np.ascontiguousarray(np.moveaxis(stack, 0, -1))
+    for r in range(len(cards) + 1):
+        for drop in combinations(range(len(cards)), r):
+            want = stack.sum(axis=tuple(d + 1 for d in drop))
+            got = np.moveaxis(_stacked_sum(last, drop), -1, 0)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (cards, height, drop)
 
 
 def loop_typical(words, p, eps):
