@@ -15,7 +15,7 @@ Criterion ids:
   AC6  outer/semi-deterministic coincidence on the identical-output channel
   AC7  vanishing secrecy coordinates on the identical-output channel
   AC8  binning simulator (equivocation, benchmark errors, rate validation)
-  AC9  frontier and hull oracles
+  AC9  frontier oracle; support function and hull membership vs. an LP
   AC10 no-secrecy reductions reproduce projected frontiers
 """
 
@@ -412,6 +412,23 @@ def brute_force_frontier(
     return keep
 
 
+def lp_support(points: np.ndarray, weights: np.ndarray) -> float:
+    """max of weights·x over convex combinations of ``points`` and the origin,
+    as an LP over the combination weights (independent of ``region.support``)."""
+    from scipy.optimize import linprog  # not at module level: keeps it out of CLI start-up
+
+    return -linprog(-(points @ weights), A_ub=np.ones((1, len(points))), b_ub=[1.0]).fun
+
+
+def lp_hull_contains(points: np.ndarray, p: np.ndarray) -> bool:
+    """Whether a convex combination of ``points`` and the origin dominates ``p``."""
+    from scipy.optimize import linprog
+
+    n = len(points)
+    res = linprog(np.zeros(n), A_ub=np.vstack([-points.T, np.ones(n)]), b_ub=np.append(-p, 1.0))
+    return {0: True, 2: False}[res.status]  # 2: infeasible; any other status is an LP failure
+
+
 def ac9_geometry_oracles() -> CriterionResult:
     t0 = time.perf_counter()
     fails: list[str] = []
@@ -426,24 +443,23 @@ def ac9_geometry_oracles() -> CriterionResult:
         got = {p.coords(dims) for p in region.pareto_filter(pts, dims).frontier}
         want = brute_force_frontier(pts, dims)
         _check(fails, got == want, f"frontier mismatch on dims {dims}")
-    # Convex hulls: every consecutive triple turns clockwise, and hull
-    # midpoints stay inside the hull region.
-    for trial in range(50):
-        pts = [
-            region.RatePoint(float(a), float(b))
-            for a, b in rng.uniform(0, 1, (30, 2))
-        ]
-        hull = region.convexify_2d(region.pareto_filter(pts, ("r1", "r2")))
-        seq = sorted((p.r1, p.r2) for p in hull.frontier)
-        for o, mid, b in zip(seq, seq[1:], seq[2:]):
-            _check(fails, region._cross(o, mid, b) < 1e-12, f"hull not convex at {mid}")
-        for (x0, y0), (x1, y1) in zip(seq, seq[1:]):
-            mid_pt = region.RatePoint((x0 + x1) / 2, (y0 + y1) / 2)
-            _check(
-                fails,
-                region.hull_contains_2d(hull, mid_pt, tol=1e-9),
-                f"hull midpoint excluded: {mid_pt}",
-            )
+        # Support function vs. the LP optimum on frontiers of 15 points. Hull
+        # membership by the support test on the gap grid and by the LP: a shrunken
+        # convex combination is inside, an argmax pushed out along λ is outside.
+        grid = region._gap_grid(len(dims))
+        for _ in range(20):
+            reg = region.pareto_filter([pts[i] for i in rng.choice(1000, 15, replace=False)], dims)
+            coords, h = region._coords(reg.frontier, dims), region.support(reg, grid)
+            for lam in rng.dirichlet(np.ones(len(dims)), 3):
+                err = abs(region.support(reg, lam[None])[0] - lp_support(coords, lam))
+                _check(fails, err <= 1e-9, f"support off the LP optimum by {err:.3g} at {lam.round(3)}")
+            lam = grid[rng.integers(len(grid))]
+            inside = 0.99 * (rng.dirichlet(np.ones(len(coords))) @ coords)
+            outside = coords[np.argmax(coords @ lam)] + 0.01 * lam
+            for p, want_in in ((inside, True), (outside, False)):
+                by_support, by_lp = bool((grid @ p <= h + 1e-12).all()), lp_hull_contains(coords, p)
+                _check(fails, by_support == by_lp == want_in,
+                       f"hull membership of {p.round(4)}: support {by_support}, LP {by_lp}")
     return _result("AC9", t0, not fails, "; ".join(fails[:3]) or "oracles agree")
 
 

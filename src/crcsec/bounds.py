@@ -30,7 +30,7 @@ import numpy as np
 
 from .channel import DiscreteCRC, detect_semi_deterministic, push_through
 from .prob import Informations, JointPmf
-from .region import RatePoint, Region, _first_distinct, _skyline, pareto_filter
+from .region import RatePoint, Region, _first_distinct, _skyline
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
 # channels satisfying an ordering termwise (e.g. identical outputs) yield
@@ -215,7 +215,7 @@ def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoi
     if missing:
         raise BoundsError(f"auxiliary joint lacks axes {missing}")
     rows = _vertices(*_caps(ch, spec, aux.axes, aux.probs[None])[:, 0].tolist())
-    return list(pareto_filter([RatePoint(*row) for row in rows], ("r1", "r2")).frontier)
+    return [RatePoint(*rows[i]) for i in _skyline(np.array(rows)[:, :2])]
 
 
 def parse_bound(token: str) -> BoundKind:

@@ -1,4 +1,4 @@
-"""Rate-point set algebra: dominance, Pareto frontiers, inclusion, hulls, CSV.
+"""Rate-point set algebra: dominance, Pareto frontiers, inclusion, support functions, CSV.
 
 A region is represented by the Pareto frontier of its achievable rate
 tuples; the region itself is the downward closure of that frontier. Points
@@ -9,10 +9,13 @@ one message drop the corresponding equivocation coordinate).
 One sort-based skyline kernel, ``_skyline`` over coordinate arrays,
 computes every frontier; of equal rows the first occurrence wins. One rule,
 ``_first_distinct``, merges points that agree to 12 decimals (the first
-wins): ``pareto_filter`` (so ``merge``, ``project``, ``convexify_2d``)
-applies it to all its points, ``bounds.search_region`` only to the corners
-of one candidate, so across candidates its ties are exact and the first
-found wins.
+wins): ``pareto_filter`` (so ``merge`` and ``project``) applies it to all
+its points, ``bounds.search_region`` only to the corners of one candidate,
+so across candidates its ties are exact and the first found wins.
+
+Time sharing makes the paper's regions convex. ``support``, one matrix
+product in any number of dims, is the support function of a region's convex
+hull; ``convex_gap`` compares two hulls by it over a fixed simplex grid.
 
 CSV export: header lists active dims (``R1,R2,Re1,Re2`` subset), values at
 9 decimal digits, rows in lexicographically descending order; re-import
@@ -24,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -34,6 +38,7 @@ DIM_HEADERS = {"r1": "R1", "r2": "R2", "re1": "Re1", "re2": "Re2"}
 HEADER_DIMS = {v: k for k, v in DIM_HEADERS.items()}
 COORD_TOL = 1e-9
 DEDUPE_DECIMALS = 12
+GAP_GRID_DIVISIONS = 10  # convex_gap's weights are multiples of 1/10
 SKYLINE_BLOCK = 256  # rows per numpy dominance test
 _EARLIER = np.triu(np.ones((SKYLINE_BLOCK, SKYLINE_BLOCK), dtype=bool), 1)  # [j, i]: j < i
 
@@ -176,54 +181,31 @@ def inclusion_fraction(a: Region, b: Region, tol: float) -> float:
     return hits / len(a.frontier)
 
 
-def _cross(o: tuple[float, float], a: tuple[float, float], b: tuple[float, float]) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _gap_grid(d: int) -> np.ndarray:
+    """Every weight vector >= 0 on ``d`` coordinates whose entries are
+    multiples of 1/GAP_GRID_DIVISIONS and sum to 1, shape ``(k, d)``."""
+    n = GAP_GRID_DIVISIONS
+    return np.array([c for c in product(range(n + 1), repeat=d) if sum(c) == n], dtype=float) / n
 
 
-def convexify_2d(region: Region) -> Region:
-    """Upper-right convex hull of a 2-dim frontier plus its axis anchors.
-
-    Models time sharing between operating points: the returned frontier is
-    the piecewise-linear concave boundary from (0, max_y) to (max_x, 0).
-    """
-    if len(region.dims) != 2:
-        raise RegionError(f"convexify_2d needs exactly 2 active dims, got {region.dims}")
-    dx, dy = region.dims
-    if not region.frontier:
-        return region
-    pts = list(region.frontier)
-    max_x, max_y = max(getattr(p, dx) for p in pts), max(getattr(p, dy) for p in pts)
-    anchors = [RatePoint(**{dx: max_x, dy: 0.0}), RatePoint(**{dx: 0.0, dy: max_y})]
-    # Reversed, the filtered candidates run by increasing x (and decreasing
-    # y); dominated anchors are gone, so the hull is already an antichain.
-    hull: list[RatePoint] = []
-    for p in reversed(pareto_filter(pts + anchors, region.dims).frontier):
-        while len(hull) >= 2 and _cross(
-            hull[-2].coords(region.dims), hull[-1].coords(region.dims), p.coords(region.dims)
-        ) >= 0.0:
-            hull.pop()
-        hull.append(p)
-    return Region(tuple(reversed(hull)), region.dims)
+def support(region: Region, weights: np.ndarray) -> np.ndarray:
+    """h(λ) = max(0, max over the frontier of λ·x) for each row λ >= 0 of a
+    ``(k, d)`` weight array over ``region.dims``: the support function of the
+    region's convex hull. The 0 is the origin, which every down-closed region
+    contains, so an empty frontier gives 0."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != len(region.dims) or (weights < 0).any():
+        raise RegionError(f"weights must be a nonnegative (k, {len(region.dims)}) array")
+    return (_coords(region.frontier, region.dims) @ weights.T).max(axis=0, initial=0.0)
 
 
-def hull_contains_2d(hull: Region, p: RatePoint, tol: float = 0.0) -> bool:
-    """Membership of ``p`` in the downward closure of a convexified frontier."""
-    if len(hull.dims) != 2:
-        raise RegionError("hull membership is defined for 2-dim regions")
-    px, py = p.coords(hull.dims)
-    if contains_point(hull, p, tol):
-        return True
-    pts = sorted(q.coords(hull.dims) for q in hull.frontier)
-    for (x0, y0), (x1, y1) in zip(pts, pts[1:]):
-        if x0 - tol <= px <= x1 + tol:
-            if x1 == x0:
-                if py <= max(y0, y1) + tol:
-                    return True
-                continue
-            t = min(1.0, max(0.0, (px - x0) / (x1 - x0)))
-            if py <= y0 + t * (y1 - y0) + tol:
-                return True
-    return False
+def convex_gap(a: Region, b: Region) -> float:
+    """Largest h_A(λ) - h_B(λ) over the simplex grid of ``_gap_grid``: a
+    down-closed convex region A lies in B iff h_A <= h_B for every λ >= 0."""
+    if a.dims != b.dims:
+        raise RegionError(f"cannot compare regions with dims {a.dims} and {b.dims}")
+    grid = _gap_grid(len(a.dims))
+    return float((support(a, grid) - support(b, grid)).max())
 
 
 def export_csv(region: Region, path: str | Path, sidecar: str | Path | None = None) -> None:

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from crcsec.bounds import (
     _candidate_stacks,
 )
 from crcsec.channel import erasure_cascade_channel, induce_joint, orthogonal_channel, xor_channel
-from crcsec.region import RatePoint, dominates
+from crcsec.region import RatePoint, convex_gap, dominates
 
 H2_011 = 0.4999159581645280
 
@@ -340,3 +340,35 @@ def test_condition_report_jsonable():
     assert payload["violated"] is False
     rebuilt = prob.JointPmf.from_jsonable(payload["witness"])
     assert rebuilt.probs.shape == tuple(c for _, c in payload["witness"]["axes"])
+
+
+# The paper's coincidence theorems: time sharing makes the regions convex,
+# so the searches must agree by their support functions, not point by point.
+COINCIDENCE_SAMPLES = 1000
+
+
+def _searches(ch, *kinds):
+    return [search_region(ch, kind, samples=COINCIDENCE_SAMPLES, seed=1) for kind in kinds]
+
+
+def test_lessnoisy_outer_and_inner_searches_coincide_on_erasure_cascade():
+    regions = _searches(erasure_cascade_channel(), BoundKind.LESSNOISY, BoundKind.OUTER, BoundKind.INNER)
+    for a, b in permutations(regions, 2):
+        assert convex_gap(a, b) <= 0.01
+
+
+def test_outer_and_semidet_searches_coincide_on_xor():
+    outer, semidet = _searches(xor_channel(), BoundKind.OUTER, BoundKind.SEMIDET)
+    assert convex_gap(outer, semidet) <= 0.01
+    assert convex_gap(semidet, outer) <= 0.01
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: no inner-search candidate takes U = Y1, so the inner "
+    "frontier on xor is the single point (0, 1, 0, 0) and the gap at (1, 0, 0, 0) is 1.0",
+)
+def test_inner_search_reaches_semidet_region_on_xor():
+    semidet, inner = _searches(xor_channel(), BoundKind.SEMIDET, BoundKind.INNER)
+    assert convex_gap(semidet, inner) <= 0.01
+    assert convex_gap(inner, semidet) <= 0.01

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -262,3 +265,13 @@ def test_verify_suite_reports_and_detects_tampering(tmp_path, capsys, monkeypatc
 def test_verify_unknown_suite(capsys):
     with pytest.raises(SystemExit):
         run(["verify", "everything"])
+
+
+def test_cli_import_leaves_scipy_optimize_unimported():
+    # accept imports linprog inside its LP oracle only: at module level it would
+    # add the scipy.optimize import to every command's start-up
+    code = "import sys\nimport crcsec.cli\nprint('scipy.optimize' in sys.modules)\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

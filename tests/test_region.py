@@ -10,16 +10,17 @@ from crcsec.region import (
     RatePoint,
     Region,
     RegionError,
+    _gap_grid,
     contains_point,
-    convexify_2d,
+    convex_gap,
     dominates,
     export_csv,
-    hull_contains_2d,
     import_csv,
     inclusion_fraction,
     merge,
     pareto_filter,
     project,
+    support,
 )
 
 
@@ -141,29 +142,42 @@ def test_inclusion_fraction():
     assert inclusion_fraction(a, b, 0.5) == 1.0
 
 
-def test_convexify_keeps_strict_extremes():
-    reg = pareto_filter([P(1, 0), P(0, 1), P(0.6, 0.6)], ("r1", "r2"))
-    hull = convexify_2d(reg)
-    assert {p.coords(("r1", "r2")) for p in hull.frontier} == {
-        (1.0, 0.0),
-        (0.0, 1.0),
-        (0.6, 0.6),
-    }
+AXES_2D = ("r1", "r2")
 
 
-def test_convexify_collapses_collinear_and_is_convex():
-    reg = pareto_filter([P(1, 0), P(0, 1), P(0.5, 0.5)], ("r1", "r2"))
-    hull = convexify_2d(reg)
-    assert {p.coords(("r1", "r2")) for p in hull.frontier} == {(1.0, 0.0), (0.0, 1.0)}
-    # midpoints of consecutive hull vertices live in the hull region
+def test_support_sees_a_point_beyond_the_time_sharing_line():
+    axes = pareto_filter([P(1, 0), P(0, 1)], AXES_2D)
+    reg = pareto_filter([P(1, 0), P(0, 1), P(0.6, 0.6)], AXES_2D)
+    half = np.array([[0.5, 0.5]])
+    assert support(reg, half)[0] == pytest.approx(0.6)
+    assert support(axes, half)[0] == pytest.approx(0.5)
+    assert convex_gap(reg, axes) == pytest.approx(0.1)
+    assert convex_gap(axes, reg) == 0.0
+
+
+def test_support_ignores_collinear_points_and_keeps_midpoints():
+    axes = pareto_filter([P(1, 0), P(0, 1)], AXES_2D)
+    reg = pareto_filter([P(1, 0), P(0, 1), P(0.5, 0.5)], AXES_2D)
+    grid = _gap_grid(2)
+    assert np.array_equal(support(reg, grid), support(axes, grid))
+    # midpoints of frontier points pass the support test
     rng = np.random.default_rng(3)
-    pts = [P(a, b) for a, b in rng.uniform(0, 1, (40, 2))]
-    hull = convexify_2d(pareto_filter(pts, ("r1", "r2")))
-    seq = sorted(p.coords(("r1", "r2")) for p in hull.frontier)
-    for (x0, y0), (x1, y1) in zip(seq, seq[1:]):
-        assert hull_contains_2d(hull, P((x0 + x1) / 2, (y0 + y1) / 2), tol=1e-9)
+    reg = pareto_filter([P(a, b) for a, b in rng.uniform(0, 1, (40, 2))], AXES_2D)
+    h = support(reg, grid)
+    seq = sorted(p.coords(AXES_2D) for p in reg.frontier)
+    for p, q in zip(seq, seq[1:]):
+        assert (grid @ ((np.array(p) + q) / 2) <= h + 1e-12).all()
     with pytest.raises(RegionError):
-        convexify_2d(pareto_filter(pts, ("r1", "r2", "re1")))
+        convex_gap(reg, pareto_filter([P(1, 0, 0.5)], ("r1", "r2", "re1")))
+
+
+def test_support_of_empty_frontier_is_zero_and_grid_sizes():
+    for d, size in ((2, 11), (3, 66), (4, 286)):
+        grid = _gap_grid(d)
+        assert grid.shape == (size, d) and np.allclose(grid.sum(axis=1), 1.0)
+        assert np.array_equal(support(Region((), DIM_FIELDS[:d]), grid), np.zeros(size))
+    with pytest.raises(RegionError):
+        support(Region((P(1, 1),), AXES_2D), np.ones((1, 3)))
 
 
 def test_project():
