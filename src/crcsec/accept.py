@@ -9,7 +9,8 @@ Criterion ids:
 
   AC1  capacity-function unit values
   AC2  reference four-curve dataset properties
-  AC3  Gaussian family consistency and classification
+  AC3  Gaussian family consistency, corner vs. written-out closed forms,
+       classification
   AC4  mutual information vs. direct-sum oracle
   AC5  noiseless-parallel-links corner (inner search + outer caps)
   AC6  outer/semi-deterministic coincidence on the identical-output channel
@@ -81,22 +82,32 @@ def ac3_gaussian_consistency() -> CriterionResult:
     t0 = time.perf_counter()
     fails: list[str] = []
     rng = np.random.default_rng(3)
-    worst = 0.0
+    modes = gaussian.GaussMode
+    worst = worst_oracle = 0.0
     for _ in range(1000):
         b = float(rng.uniform(0.05, 0.95)) * float(rng.choice([-1.0, 1.0]))
         g = channel.GaussianCRC(a=1.0 / b, b=b, p1=float(rng.uniform(0.5, 50)), p2=float(rng.uniform(0.5, 50)))
         alpha = float(rng.uniform())
-        p_deg = gaussian.degraded_point(g, alpha)
-        p_weak = gaussian.weak_interference_point(g, alpha)
+        p_deg = gaussian.corner(g, modes.DEGRADED, alpha)
+        p_weak = gaussian.corner(g, modes.WEAK, alpha)
+        p_sec = gaussian.corner(g, modes.SECRECY, alpha)
         worst = max(
             worst,
-            abs(p_deg.r1_max - p_weak.r1_max),
-            abs(p_deg.r2_max - p_weak.r2_max),
-            abs(p_deg.re1_max - p_weak.re1_max),
+            abs(p_deg.r1 - p_weak.r1),
+            abs(p_deg.r2 - p_weak.r2),
+            abs(p_deg.re1 - p_weak.re1),
+            abs(p_sec.r1 - p_weak.re1),
+            abs(p_sec.r2 - p_weak.r2),
         )
-        r1s, r2s = gaussian.perfect_secrecy_point(g, alpha)
-        worst = max(worst, abs(r1s - p_weak.re1_max), abs(r2s - p_weak.r2_max))
+        # the closed forms written out once more, apart from psi and the corner code
+        snr_b = alpha * b * b * g.p1
+        r2 = 0.5 * math.log2(
+            (snr_b + 1.0 + (abs(b) * math.sqrt((1.0 - alpha) * g.p1) + math.sqrt(g.p2)) ** 2) / (snr_b + 1.0)
+        )
+        re1 = 0.5 * math.log2((1.0 + alpha * g.p1) / (1.0 + snr_b))
+        worst_oracle = max(worst_oracle, abs(p_weak.r2 - r2), abs(p_weak.re1 - re1))
     _check(fails, worst <= 1e-12, f"family mismatch {worst:.2e}")
+    _check(fails, worst_oracle <= 1e-12, f"corner off the closed forms by {worst_oracle:.2e}")
     for b_mag, sign, a in product(
         [0.0, 0.25, 0.5, 0.75, 0.999, 1.0, 1.25, 2.0], [1.0, -1.0], [0.5, 1.0, 2.0]
     ):

@@ -410,20 +410,13 @@ CONDITIONS: dict[Condition, ConditionSpec] = {
     Condition.SEMI_DET: ConditionSpec(("W",), _semidet_gap),
 }
 
-CONDITION_ALIASES = {
-    "lessnoisy46": Condition.LESS_NOISY,
-    "lessnoisy": Condition.LESS_NOISY,
-    "semidet11": Condition.SEMI_DET,
-    "semidet": Condition.SEMI_DET,
-}
-
 
 def parse_condition(token: str) -> Condition:
     try:
-        return CONDITION_ALIASES[token.strip().lower()]
-    except KeyError:
+        return Condition(token.strip().lower())
+    except ValueError:
         raise BoundsError(
-            f"unknown condition {token!r}; expected one of {sorted(CONDITION_ALIASES)}"
+            f"unknown condition {token!r}; expected one of {sorted(c.value for c in Condition)}"
         ) from None
 
 

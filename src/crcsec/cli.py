@@ -89,7 +89,7 @@ def cmd_gauss(args: argparse.Namespace) -> int:
     mode = gaussian.parse_mode(str(cfg["mode"]))
     g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
     points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
-    dims = gaussian.MODE_DIMS[mode]
+    dims = gaussian.FAMILIES[mode].dims
     rows = _sweep_rows(points, dims)
     reg = region.pareto_filter(points, dims)
     outdir = Path(cfg["out"])
@@ -107,8 +107,9 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     outdir = Path(cfg["outdir"])
     outdir.mkdir(parents=True, exist_ok=True)
     outputs = []
+    dims = gaussian.FAMILIES[gaussian.GaussMode.WEAK].dims
     for b, points in gaussian.figure_sweeps():
-        rows = _sweep_rows(points, gaussian.MODE_DIMS[gaussian.GaussMode.WEAK])
+        rows = _sweep_rows(points, dims)
         name = f"fig2_b{b}.csv"
         (outdir / name).write_text("\n".join(rows) + "\n")
         outputs.append(name)

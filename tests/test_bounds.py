@@ -16,6 +16,7 @@ from crcsec.bounds import (
     check_condition,
     condition_gap,
     parse_bound,
+    parse_condition,
     search_region,
     structured_candidates,
     _candidate_stacks,
@@ -306,6 +307,14 @@ def test_parse_bound_and_cards():
         SearchCards(q=0).resolved(orthogonal_channel())
     resolved = SearchCards().resolved(orthogonal_channel())
     assert resolved == {"Q": 1, "W": 2, "V": 5, "U": 5}
+
+
+def test_parse_condition_accepts_condition_values_only():
+    assert parse_condition(" SemiDet11 ") is Condition.SEMI_DET
+    assert parse_condition("lessnoisy46") is Condition.LESS_NOISY
+    for token in ("semidet", "lessnoisy"):  # former aliases; "semidet" also names a bound
+        with pytest.raises(BoundsError):
+            parse_condition(token)
 
 
 def test_check_condition_xor_exact_zero():

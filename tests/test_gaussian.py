@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
+from crcsec import cli
 from crcsec.channel import GaussianCRC
 from crcsec.gaussian import (
+    FAMILIES,
     FIGURE_B_VALUES,
     GaussError,
     GaussMode,
     SecrecyClass,
     classify_gaussian,
-    degraded_point,
+    corner,
     figure_dataset,
     parse_mode,
-    perfect_secrecy_point,
     psi,
-    sweep_region,
-    weak_interference_point,
+    sweep_points,
 )
+from crcsec.region import pareto_filter
+
+WEAK, DEGRADED, SECRECY = GaussMode.WEAK, GaussMode.DEGRADED, GaussMode.SECRECY
 
 # frozen from a 40-digit evaluation of the closed forms
 PSI_20 = 2.1961587113893801
@@ -47,39 +50,59 @@ def test_psi_increasing_and_concave():
 
 def test_weak_point_frozen_values():
     g = GaussianCRC(a=1.0, b=0.5, p1=20.0, p2=20.0)
-    pt = weak_interference_point(g, 1.0)
-    assert abs(pt.r1_max - PSI_20) < 1e-12
-    assert abs(pt.re1_max - PSI_20_MINUS_PSI_5) < 1e-12
-    assert abs(pt.r2_max - PSI_20_OVER_6) < 1e-12
-    assert pt.re2_max == 0.0
+    pt = corner(g, WEAK, 1.0)
+    assert abs(pt.r1 - PSI_20) < 1e-12
+    assert abs(pt.re1 - PSI_20_MINUS_PSI_5) < 1e-12
+    assert abs(pt.r2 - PSI_20_OVER_6) < 1e-12
+    assert pt.re2 == 0.0
+    assert pt.meta == {"alpha": 1.0}
 
 
 def test_weak_point_edge_cases():
     g1 = GaussianCRC(a=1.0, b=1.0, p1=20.0, p2=20.0)
     for alpha in (0.0, 0.3, 1.0):
-        assert weak_interference_point(g1, alpha).re1_max == 0.0
-    zero = weak_interference_point(GaussianCRC(1.0, 0.5, 20.0, 20.0), 0.0)
-    assert zero.r1_max == 0.0 and zero.re1_max == 0.0
+        assert corner(g1, WEAK, alpha).re1 == 0.0
+    zero = corner(GaussianCRC(1.0, 0.5, 20.0, 20.0), WEAK, 0.0)
+    assert zero.r1 == 0.0 and zero.re1 == 0.0
     with pytest.raises(GaussError):
-        weak_interference_point(GaussianCRC(1.0, 1.5, 20.0, 20.0), 0.5)
+        corner(GaussianCRC(1.0, 1.5, 20.0, 20.0), WEAK, 0.5)
     with pytest.raises(GaussError):
-        weak_interference_point(GaussianCRC(1.0, 0.5, 20.0, 20.0), 1.5)
+        corner(GaussianCRC(1.0, 0.5, 20.0, 20.0), WEAK, 1.5)
+    with pytest.raises(GaussError):
+        sweep_points(GaussianCRC(1.0, 1.5, 20.0, 20.0), WEAK, 10)
 
 
-def test_degraded_point_frozen_values():
+def test_weak_family_inside_its_tolerance(tmp_path):
+    # |b| exceeds 1 by less than HYPOTHESIS_TOL: Re1 is the positive part, 0
+    g = GaussianCRC(a=1.0, b=1.0 + 5e-10, p1=20.0, p2=20.0)
+    assert corner(g, WEAK, 0.5).re1 == 0.0
+    out = tmp_path / "g"
+    argv = ["gauss", "--mode", "weak", "--a", "1", "--b", "1.0000000005", "--p1", "20", "--p2", "20",
+            "--steps", "50", "--out", str(out)]
+    assert cli.main(argv) == 0
+    for name in ("sweep.csv", "frontier.csv"):
+        lines = (out / name).read_text().splitlines()
+        col = lines[0].split(",").index("Re1")
+        assert len(lines) > 1
+        assert all(row.split(",")[col] == "0.000000000" for row in lines[1:])
+
+
+def test_degraded_corner_frozen_values():
     g = GaussianCRC(a=2.0, b=0.5, p1=20.0, p2=20.0)
-    pt = degraded_point(g, 0.5)
-    assert abs(pt.r1_max - PSI_10) < 1e-12
-    assert abs(pt.re1_max - PSI_10_MINUS_PSI_2_5) < 1e-12
-    assert abs(pt.r2_max - PSI_DEG_R2) < 1e-12
-    assert degraded_point(g, 0.0).r1_max == 0.0
+    pt = corner(g, DEGRADED, 0.5)
+    assert abs(pt.r1 - PSI_10) < 1e-12
+    assert abs(pt.re1 - PSI_10_MINUS_PSI_2_5) < 1e-12
+    assert abs(pt.r2 - PSI_DEG_R2) < 1e-12
+    assert corner(g, DEGRADED, 0.0).r1 == 0.0
 
 
 def test_degraded_hypothesis_checks():
     with pytest.raises(GaussError):
-        degraded_point(GaussianCRC(1.0, 0.5, 20.0, 20.0), 0.5)  # a*b != 1
+        corner(GaussianCRC(1.0, 0.5, 20.0, 20.0), DEGRADED, 0.5)  # a*b != 1
     with pytest.raises(GaussError):
-        degraded_point(GaussianCRC(1.0, 1.0, 20.0, 20.0), 0.5)  # |a| not > 1
+        corner(GaussianCRC(1.0, 1.0, 20.0, 20.0), DEGRADED, 0.5)  # |a| not > 1
+    with pytest.raises(GaussError):
+        sweep_points(GaussianCRC(1.0, 0.5, 20.0, 20.0), DEGRADED, 10)
 
 
 def test_degraded_equals_weak_on_overlap():
@@ -88,23 +111,24 @@ def test_degraded_equals_weak_on_overlap():
         b = float(rng.uniform(0.05, 0.95)) * float(rng.choice([-1, 1]))
         g = GaussianCRC(a=1.0 / b, b=b, p1=float(rng.uniform(1, 40)), p2=float(rng.uniform(1, 40)))
         alpha = float(rng.uniform())
-        d, w = degraded_point(g, alpha), weak_interference_point(g, alpha)
-        assert abs(d.r1_max - w.r1_max) < 1e-12
-        assert abs(d.r2_max - w.r2_max) < 1e-12
-        assert abs(d.re1_max - w.re1_max) < 1e-12
+        d, w = corner(g, DEGRADED, alpha), corner(g, WEAK, alpha)
+        assert abs(d.r1 - w.r1) < 1e-12
+        assert abs(d.r2 - w.r2) < 1e-12
+        assert abs(d.re1 - w.re1) < 1e-12
 
 
-def test_perfect_secrecy_point():
+def test_perfect_secrecy_corner():
     strong = GaussianCRC(a=1.0, b=2.0, p1=20.0, p2=20.0)
-    r1, r2 = perfect_secrecy_point(strong, 0.0)
-    assert r1 == 0.0
-    assert abs(r2 - PSI_180) < 1e-12
+    pt = corner(strong, SECRECY, 0.0)
+    assert pt.r1 == 0.0
+    assert abs(pt.r2 - PSI_180) < 1e-12
     for alpha in (0.1, 0.5, 1.0):
-        assert perfect_secrecy_point(strong, alpha)[0] == 0.0
+        assert corner(strong, SECRECY, alpha).r1 == 0.0
     weak = GaussianCRC(a=1.0, b=0.5, p1=20.0, p2=20.0)
-    r1, r2 = perfect_secrecy_point(weak, 1.0)
-    assert abs(r1 - PSI_20_MINUS_PSI_5) < 1e-12
-    assert abs(r2 - PSI_20_OVER_6) < 1e-12
+    pt = corner(weak, SECRECY, 1.0)
+    assert abs(pt.r1 - PSI_20_MINUS_PSI_5) < 1e-12
+    assert abs(pt.r2 - PSI_20_OVER_6) < 1e-12
+    assert pt.re1 == 0.0 and pt.re2 == 0.0
 
 
 def test_classification():
@@ -118,26 +142,39 @@ def test_classification():
     assert classify_gaussian(GaussianCRC(1.0, 1.0, 20, 20)) is SecrecyClass.NO_SECRECY_FOR_M1
 
 
-def test_sweep_region_endpoints_and_monotonicity():
+def test_swept_region_endpoints_and_monotonicity():
     g = GaussianCRC(a=1.0, b=0.5, p1=20.0, p2=20.0)
-    reg = sweep_region(g, GaussMode.WEAK, steps=1)
+    reg = pareto_filter(sweep_points(g, WEAK, steps=1), FAMILIES[WEAK].dims)
     assert len(reg) == 2  # both alpha endpoints are maximal
-    pts = [weak_interference_point(g, i / 200) for i in range(201)]
-    r1s = [p.r1_max for p in pts]
-    r2s = [p.r2_max for p in pts]
+    pts = sweep_points(g, WEAK, steps=200)
+    assert [p.meta["alpha"] for p in pts] == [i / 200 for i in range(201)]
+    r1s = [p.r1 for p in pts]
+    r2s = [p.r2 for p in pts]
     assert all(a <= b + 1e-12 for a, b in zip(r1s, r1s[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(r2s, r2s[1:]))
+    with pytest.raises(GaussError):
+        sweep_points(g, WEAK, steps=0)
 
 
-def test_sweep_region_b1_has_zero_secrecy():
+def test_swept_region_b1_has_zero_secrecy():
     g = GaussianCRC(a=1.0, b=1.0, p1=20.0, p2=20.0)
-    reg = sweep_region(g, GaussMode.WEAK, steps=100)
+    reg = pareto_filter(sweep_points(g, WEAK, steps=100), FAMILIES[WEAK].dims)
     assert reg.dims == ("r1", "r2", "re1")
     assert all(p.re1 == 0.0 for p in reg.frontier)
 
 
+def test_family_table():
+    assert FAMILIES[WEAK].dims == ("r1", "r2", "re1")
+    assert FAMILIES[DEGRADED].dims == ("r1", "r2", "re1", "re2")
+    assert FAMILIES[SECRECY].dims == ("r1", "r2")
+    g = GaussianCRC(2.0, 0.5, 20.0, 20.0)  # inside every family's hypothesis
+    for mode, family in FAMILIES.items():
+        assert family.holds(g)
+        assert sweep_points(g, mode, 4) == [corner(g, mode, i / 4) for i in range(5)]
+
+
 def test_figure_dataset_shape_and_extremes():
-    data = figure_dataset(steps=100)
+    data = figure_dataset()
     assert [b for b, _ in data] == list(FIGURE_B_VALUES)
     by_b = dict(data)
     assert all(p.re1 == 0.0 for p in by_b[1.0].frontier)
@@ -160,5 +197,5 @@ def test_mode_aliases():
 def test_gauss_point_invariants():
     g = GaussianCRC(a=1.0, b=0.5, p1=20.0, p2=20.0)
     for alpha in np.linspace(0, 1, 21):
-        pt = weak_interference_point(g, float(alpha))
-        assert 0.0 <= pt.re1_max <= pt.r1_max + 1e-12
+        pt = corner(g, WEAK, float(alpha))
+        assert 0.0 <= pt.re1 <= pt.r1 + 1e-12

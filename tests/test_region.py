@@ -208,7 +208,7 @@ def test_export_import_round_trip(tmp_path):
 def test_export_round_trips_figure_dataset(tmp_path):
     from crcsec.gaussian import figure_dataset
 
-    for b, reg in figure_dataset(steps=50):
+    for b, reg in figure_dataset():
         path = tmp_path / f"b{b}.csv"
         export_csv(reg, path)
         back = import_csv(path)
