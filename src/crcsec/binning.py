@@ -15,7 +15,7 @@ reintroduces W by enlarging the X2 alphabet):
   the joint-typicality encoder and pays for confidentiality.
 - encoding: among bin pairs (l21, l1) whose (X2, V, U) words are jointly
   typical, one is chosen uniformly; an empty set is an encoding failure and
-  a fixed arbitrary codeword is sent.
+  the message's (0, 0) word is sent.
 - decoding: receiver 1 looks for a unique message with a typical (U, Y1)
   pair; receiver 2 for a unique (m22, m21) with a typical (X2, V, Y2)
   triple.
@@ -35,8 +35,10 @@ the per-cell tolerance scaled by the distribution's support size
 desk-scale block lengths the unscaled windows are so tight that even the
 transmitted words fail them. ``eps = 0`` still demands exact empirical
 frequencies. :func:`build_codebook` tests the whole (X2, V, U) word grid
-once into ``Codebook.typical``, which the encoder and the exact
-equivocation read; each decoder tests all its codewords in one call.
+once into ``Codebook.typical`` and derives the encoder's table
+``Codebook.sendable`` from it: the typical pairs, plus the (0, 0) word of
+each message with none. The encoder draws from it and the exact
+equivocation sums over it; each decoder tests all its codewords in one call.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .prob import Informations, JointPmf, _entropy_of, marginalize, positive_par
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
-DEFAULT_MAX_SEQUENCES = 1 << 20
+MAX_SEQUENCES = 1 << 20  # X1 words a codebook may hold
 _LATTICE_BLOCK = 1 << 16  # prefix + suffix lattice floats per batch of whole rows (at least one)
 
 
@@ -237,22 +239,20 @@ def _support_scaled_eps(pmf: JointPmf, eps: float) -> float:
 
 @dataclass(frozen=True)
 class Codebook:
-    """Realized nested random code plus the per-letter typicality targets."""
+    """Realized nested random code, the encoder's table and the decoders'
+    typicality targets."""
 
     rates: SchemeRates
-    aux: JointPmf = field(repr=False)
+    counts: dict[str, int]  # scheme_counts(rates)
     x2_words: np.ndarray = field(repr=False)
     v_words: np.ndarray = field(repr=False)
     u_words: np.ndarray = field(repr=False)
     x1_words: np.ndarray = field(repr=False)
     typical: np.ndarray = field(repr=False)  # [m22, m21, l21, m1, l1]: (X2, V, U) typical
-    p_x2vu: JointPmf = field(repr=False)
+    # typical, plus the (0, 0) word of every message with no typical pair
+    sendable: np.ndarray = field(repr=False)
     p_uy1: JointPmf = field(repr=False)
     p_x2vy2: JointPmf = field(repr=False)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        return scheme_counts(self.rates)
 
     @property
     def n(self) -> int:
@@ -264,7 +264,6 @@ def build_codebook(
     aux: JointPmf,
     rates: SchemeRates,
     seed: int,
-    max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> Codebook:
     """Draw the nested random codebook; deterministic for a fixed seed."""
     ext = _extended(ch, aux)
@@ -273,10 +272,8 @@ def build_codebook(
     n_m1, n_l1 = counts["n_m1"], counts["n_l1"]
     n_m21, n_l21, n_m22 = counts["n_m21"], counts["n_l21"], counts["n_m22"]
     total_x1 = n_m22 * n_m21 * n_l21 * n_m1 * n_l1
-    if total_x1 > max_sequences:
-        raise BudgetError(
-            f"codebook needs {total_x1} X1 words, over the budget of {max_sequences}"
-        )
+    if total_x1 > MAX_SEQUENCES:
+        raise BudgetError(f"codebook needs {total_x1} X1 words, over the budget of {MAX_SEQUENCES}")
     rng = np.random.default_rng(np.random.SeedSequence(int(seed)))
     p_x2 = marginalize(aux, "X2").probs
     cond_v = _conditional(aux, ("X2",), "V")
@@ -288,8 +285,8 @@ def build_codebook(
     v_probs = np.broadcast_to(v_ctx[:, None, None, :, :], (n_m22, n_m21, n_l21, n, v_ctx.shape[-1]))
     v_words = _sample_categorical(rng, v_probs)
     u_words = _sample_categorical(rng, np.broadcast_to(p_u, (n_m1, n_l1, n, p_u.size)))
-    # Word triples on the (m22, m21, l21, m1, l1) grid: the encoder's
-    # typicality table, then one X1 word per triple, conditional on it.
+    # Word triples on the (m22, m21, l21, m1, l1) grid: the typicality table
+    # and the encoder's table, then one X1 word per triple, conditional on it.
     u_grid = u_words[None, None, None, :, :, :]
     v_grid = v_words[:, :, :, None, None, :]
     x2_grid = x2_words[:, None, None, None, None, :]
@@ -297,6 +294,8 @@ def build_codebook(
     typical = typical_mask(
         {"X2": x2_grid, "V": v_grid, "U": u_grid}, p_x2vu, _support_scaled_eps(p_x2vu, rates.eps)
     )
+    sendable = typical.copy()
+    sendable[:, :, 0, :, 0] |= ~typical.any(axis=(2, 4))
     shape = (n_m22, n_m21, n_l21, n_m1, n_l1, n)
     x1_probs = cond_x1[
         np.broadcast_to(u_grid, shape),
@@ -307,13 +306,13 @@ def build_codebook(
 
     return Codebook(
         rates=rates,
-        aux=aux,
+        counts=counts,
         x2_words=x2_words,
         v_words=v_words,
         u_words=u_words,
         x1_words=x1_words,
         typical=typical,
-        p_x2vu=p_x2vu,
+        sendable=sendable,
         p_uy1=marginalize(ext, ("U", "Y1")),
         p_x2vy2=marginalize(ext, ("X2", "V", "Y2")),
     )
@@ -322,7 +321,7 @@ def build_codebook(
 @dataclass(frozen=True)
 class EncodeResult:
     """Chosen X1 word and bin indices; ``failed`` marks an empty typical set
-    (an arbitrary codeword is still transmitted)."""
+    (the message's (0, 0) word is still transmitted)."""
 
     x1: np.ndarray
     l21: int
@@ -337,16 +336,18 @@ def encode(
     m22: int,
     rng: np.random.Generator | None = None,
 ) -> EncodeResult:
-    """Pick a jointly typical bin pair uniformly and emit its X1 word."""
+    """Pick a sendable bin pair uniformly and emit its X1 word.
+
+    A message's only sendable pair (its (0, 0) fallback among them) draws
+    nothing: ``rng.integers(1)`` leaves the generator's state unchanged."""
     counts = cb.counts
     if not (0 <= m1 < counts["n_m1"] and 0 <= m21 < counts["n_m21"] and 0 <= m22 < counts["n_m22"]):
         raise SimError(f"message index out of range: {(m1, m21, m22)}")
     rng = rng if rng is not None else np.random.default_rng(0)
-    pairs = np.argwhere(cb.typical[m22, m21, :, m1, :])  # (l21, l1), l21-major
-    if not len(pairs):
-        return EncodeResult(cb.x1_words[m22, m21, 0, m1, 0], 0, 0, failed=True)
-    l21, l1 = pairs[int(rng.integers(len(pairs)))].tolist()
-    return EncodeResult(cb.x1_words[m22, m21, l21, m1, l1], l21, l1, failed=False)
+    pairs = np.argwhere(cb.sendable[m22, m21, :, m1, :])  # (l21, l1), l21-major
+    l21, l1 = pairs[rng.integers(len(pairs))].tolist()
+    failed = not cb.typical[m22, m21, l21, m1, l1]
+    return EncodeResult(cb.x1_words[m22, m21, l21, m1, l1], l21, l1, failed)
 
 
 def _unique_message(cb: Codebook, words: dict[str, np.ndarray], p: JointPmf) -> tuple[int, ...] | None:
@@ -415,9 +416,8 @@ def exact_equivocation(
 
     ``observer`` is ``"m1_at_y2"`` (secrecy of the cognitive message
     against receiver 2) or ``"m2_at_y1"``. One weighted sum over every word
-    the encoder can send: messages are uniform, the encoder's choice is
-    uniform over a message's typical bin pairs, and an encoding failure
-    sends the fixed arbitrary codeword, exactly as :func:`encode` does.
+    of ``cb.sendable``: messages are uniform and the encoder's choice is
+    uniform over a message's sendable bin pairs, as :func:`encode` draws it.
     With n = a + b, a = n // 2, each message row's ``P(m, y^n)`` is one
     product ``(w * F_a).T @ F_b`` of its words' weights and prefix and
     suffix likelihood lattices; rows stream into H(M, Y) and one ``|Y|^n``
@@ -437,17 +437,13 @@ def exact_equivocation(
     total = obs_card**n
     if total > budget:
         raise BudgetError(f"|Y|^n = {total} exceeds the exact-enumeration budget {budget}")
-    # Sendable words on the [m22, m21, m1, l21, l1] grid; a message with no
-    # typical pair sends its (0, 0) word.
-    sendable = cb.typical.transpose(0, 1, 3, 2, 4).copy()
-    sendable[:, :, :, 0, 0] |= ~sendable.any(axis=(3, 4))
-    n_pairs = sendable.sum(axis=(3, 4))
-    m22, m21, m1, l21, l1 = np.nonzero(sendable)
+    # sendable words in [m22, m21, m1, l21, l1] order
+    m22, m21, m1, l21, l1 = np.nonzero(cb.sendable.transpose(0, 1, 3, 2, 4))
     rows = m1 if observer == "m1_at_y2" else m22 * n_m21 + m21
     # grouped by row; inside a row, words keep their message and bin-pair order
     order = np.argsort(rows, kind="stable")
     m22, m21, m1, l21, l1 = (idx[order] for idx in (m22, m21, m1, l21, l1))
-    weights = w_msg / n_pairs[m22, m21, m1]
+    weights = w_msg / cb.sendable.sum(axis=(2, 4))[m22, m21, m1]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))
     a = n // 2
     batch_words = _LATTICE_BLOCK // (obs_card**a + obs_card ** (n - a))
@@ -501,11 +497,7 @@ class SimReport:
     fixed_codebook_equivocation: bool = True
 
     def to_jsonable(self) -> dict[str, Any]:
-        out = dict(self.__dict__)
-        out["encoding_failure_ci"] = list(self.encoding_failure_ci)
-        out["decode1_error_ci"] = list(self.decode1_error_ci)
-        out["decode2_error_ci"] = list(self.decode2_error_ci)
-        return out
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in self.__dict__.items()}
 
 
 def run_trials(
@@ -516,7 +508,6 @@ def run_trials(
     seed: int,
     codebooks: int = 1,
     exact_budget: int = DEFAULT_EXACT_BUDGET,
-    max_sequences: int = DEFAULT_MAX_SEQUENCES,
 ) -> SimReport:
     """Monte Carlo run: uniform messages through fresh channel noise.
 
@@ -527,10 +518,7 @@ def run_trials(
         raise SimError("trials must be >= 1")
     if codebooks < 1 or codebooks > trials:
         raise SimError("codebooks must be in [1, trials]")
-    books = [
-        build_codebook(ch, aux, rates, _derived_seed(seed, 1_000_000 + k), max_sequences)
-        for k in range(codebooks)
-    ]
+    books = [build_codebook(ch, aux, rates, _derived_seed(seed, 1_000_000 + k)) for k in range(codebooks)]
     counts = books[0].counts
     enc_fail = dec1_err = dec2_err = 0
     for trial in range(trials):
@@ -647,8 +635,8 @@ def load_sim_config(path: str | Path) -> SimConfig:
             # a W layer in the config is folded into the X2 alphabet
             channel, aux = merge_w_into_x2(channel, aux)
         return SimConfig(
-            channel=channel,
-            aux=aux,
+            channel,
+            aux,
             n=int(obj["n"]),
             r1=float(obj["r1"]),
             r21=float(obj["r21"]),

@@ -139,13 +139,14 @@ def classify_gaussian(g: GaussianCRC) -> SecrecyClass:
     """Secrecy-impossibility classification from the gains alone.
 
     |b| >= 1 lets receiver 2 decode anything receiver 1 can, so message 1
-    cannot be secured. If a*b = 1 with |b| <= 1 < |a|, receiver 2 is a
-    degraded (noisier) observer of receiver 1's signal and message 2 cannot
-    be secured. The first test takes precedence when both hold.
+    cannot be secured. Where the degraded family's hypothesis holds (a*b = 1
+    with |b| <= 1 < |a|), receiver 2 is a degraded (noisier) observer of
+    receiver 1's signal and message 2 cannot be secured. The first test
+    takes precedence when both hold.
     """
     if abs(g.b) >= 1.0:
         return SecrecyClass.NO_SECRECY_FOR_M1
-    if abs(g.a * g.b - 1.0) <= HYPOTHESIS_TOL and abs(g.a) > 1.0:
+    if FAMILIES[GaussMode.DEGRADED].holds(g):
         return SecrecyClass.LESS_NOISY_NO_SECRECY_FOR_M2
     return SecrecyClass.UNCLASSIFIED
 

@@ -211,7 +211,7 @@ def _sum_plan(cards: tuple[int, ...], drop: tuple[int, ...]):
 
 def _stacked_sum(last: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
     """``(*kept, S)``: column s is ``row.sum(axis=drop)`` bit for bit, ``row`` the
-    C-contiguous ``last[..., s]``, for S >= 2. That sum ignores unit axes, adds the
+    C-contiguous ``last[..., s]``. That sum ignores unit axes, adds the
     trailing run of dropped axes pairwise and the other dropped axes one after
     another in C order. The kernel takes the same steps on length-S vectors: numpy
     sums along any axis but the last (here the stack axis) term by term, in order."""
@@ -238,9 +238,9 @@ class Informations:
     with the stack axis last (``self.stack`` is an ``(S, *cards)`` view), and
     each entropy is summed once per variable set from the full tensors (never
     from a cached smaller marginal) in numpy's summation order of one row,
-    by :func:`_stacked_sum` (one row: as :func:`entropy` sums it). So each
-    row equals a one-shot :func:`entropy` of that row bit for bit, whatever
-    the query order and the other rows.
+    by :func:`_stacked_sum` at any stack height. So each row equals a
+    one-shot :func:`entropy` of that row bit for bit, whatever the query
+    order and the other rows.
     """
 
     def __init__(self, p: JointPmf | Sequence[str], stack: np.ndarray | None = None) -> None:
@@ -261,11 +261,8 @@ class Informations:
             if not key <= set(self.axes):
                 raise ProbError(f"unknown variable {sorted(key - set(self.axes))[0]!r}; axes are {self.axes}")
             drop = tuple(i for i, a in enumerate(self.axes) if a not in key)
-            if len(self.stack) == 1:
-                value = np.array([_entropy_of(self.stack[0].sum(axis=drop))])
-            else:
-                marginal = _stacked_sum(self._last, drop).reshape(-1, len(self.stack))
-                value = _row_entropies(np.ascontiguousarray(marginal.T))
+            marginal = _stacked_sum(self._last, drop).reshape(-1, len(self.stack))
+            value = _row_entropies(np.ascontiguousarray(marginal.T))
             value.flags.writeable = False
             self._entropies[key] = value
         return value

@@ -103,11 +103,12 @@ def test_build_codebook_degenerate_v_constant_words():
     assert np.all(cb.v_words == 0)
 
 
-def test_build_codebook_budget():
+def test_build_codebook_budget(monkeypatch):
     ch, aux = _benchmark_setup()
     rates = derive_scheme_rates(ch, aux, r1=0.5, r21=0.0, r22=0.5, eps=0.2, n=8)
+    monkeypatch.setattr(binning, "MAX_SEQUENCES", 10)
     with pytest.raises(BudgetError):
-        build_codebook(ch, aux, rates, seed=0, max_sequences=10)
+        build_codebook(ch, aux, rates, seed=0)
 
 
 def test_encode_degenerate_unique_pair():
@@ -130,6 +131,19 @@ def test_encode_eps_zero_usually_fails():
         rng = np.random.default_rng(seed)
         fails += encode(cb, 0, 0, 0, rng=rng).failed
     assert fails / trials > 0.9
+
+
+def test_encode_fallback_sends_the_zero_word_and_draws_nothing():
+    ch, aux = _benchmark_setup()
+    rates = derive_scheme_rates(ch, aux, r1=0.5, r21=0.0, r22=0.5, eps=0.2, n=8)
+    cb = build_codebook(ch, aux, dataclasses.replace(rates, eps=0.0), seed=0)
+    m1, m22 = next((m1, m22) for m1, m22 in product(range(16), range(16)) if not cb.typical[m22, 0, :, m1].any())
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    res = encode(cb, m1, 0, m22, rng=rng)
+    assert res.failed and (res.l21, res.l1) == (0, 0)
+    assert np.array_equal(res.x1, cb.x1_words[m22, 0, 0, m1, 0])
+    assert rng.bit_generator.state == before
 
 
 def test_encode_out_of_range():
@@ -211,6 +225,31 @@ def test_run_trials_benchmark_and_determinism():
     assert 0.0 <= lo <= a.decode1_error_rate <= hi <= 1.0
 
 
+def test_run_trials_over_two_codebooks():
+    # the equivocations are the first codebook's: 3.0 at AC8's setup, and on
+    # the erasure cascade, where the second codebook's differ, its own value
+    ch, aux = _benchmark_setup()
+    erasure = erasure_cascade_channel(0.3)
+    cases = [
+        (ch, derive_scheme_rates(ch, aux, r1=0.5, r21=0.0, r22=0.5, eps=0.2, n=6)),
+        (erasure, derive_scheme_rates(erasure, aux, r1=0.3, r21=0.0, r22=0.0, eps=0.1, n=6)),
+    ]
+    eqs = []
+    for channel, rates in cases:
+        report = run_trials(channel, aux, rates, trials=40, seed=5, codebooks=2)
+        assert report.codebooks == 2
+        assert report.to_jsonable() == run_trials(channel, aux, rates, trials=40, seed=5, codebooks=2).to_jsonable()
+        books = [build_codebook(channel, aux, rates, binning._derived_seed(5, 1_000_000 + k)) for k in (0, 1)]
+        eqs.append([exact_equivocation(cb, channel, "m1_at_y2") for cb in books])
+        assert report.exact_equivocation_m1_at_y2 == eqs[-1][0]
+        assert report.exact_equivocation_m2_at_y1 == exact_equivocation(books[0], channel, "m2_at_y1")
+        for codebooks in (0, 41):
+            with pytest.raises(SimError):
+                run_trials(channel, aux, rates, trials=40, seed=5, codebooks=codebooks)
+    assert eqs[0][0] == 3.0
+    assert eqs[1][0] != eqs[1][1]  # precondition: the erasure codebooks differ
+
+
 def test_decode_error_monotone_in_blocklength():
     ch, aux = _benchmark_setup()
     errs = []
@@ -271,10 +310,11 @@ def test_encoder_covers_real_bins_on_erasure_cascade():
     assert cb.typical.shape == (1, 1, 1, counts["n_m1"], 12)
     assert not cb.typical.all()
     # the table is the kernel's verdict on each word triple separately
-    eps = cb.rates.eps * np.count_nonzero(cb.p_x2vu.probs)
+    p_x2vu = prob.marginalize(aux, ("X2", "V", "U"))
+    eps = cb.rates.eps * np.count_nonzero(p_x2vu.probs)
     for m1, l1 in product(range(counts["n_m1"]), range(12)):
         words = {"X2": cb.x2_words[0], "V": cb.v_words[0, 0, 0], "U": cb.u_words[m1, l1]}
-        assert cb.typical[0, 0, 0, m1, l1] == prob.typical_mask(words, cb.p_x2vu, eps)
+        assert cb.typical[0, 0, 0, m1, l1] == prob.typical_mask(words, p_x2vu, eps)
     picks = set()
     for m1, k in product(range(counts["n_m1"]), range(10)):
         res = encode(cb, m1, 0, 0, rng=np.random.default_rng(k))

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -237,6 +238,23 @@ def test_readme_simulation_example_runs(tmp_path):
     write_channel(orthogonal_channel(), tmp_path / config["channel"])
     (tmp_path / "sim.json").write_text(json.dumps(config))
     assert run(["simulate", "--config", tmp_path / "sim.json", "--out", tmp_path / "out"]) == 0
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every crcsec line of the README's CLI block, continuation lines joined,
+    # beside orth.json and the README's simulation config as sim.json
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("crcsec ")]
+    sim = next(b for b in re.findall(r"```json\n(.*?)```", readme, re.S) if '"aux"' in b)
+    monkeypatch.chdir(tmp_path)
+    write_channel(orthogonal_channel(), "orth.json")
+    Path("sim.json").write_text(sim)
+    assert [line.split()[1] for line in lines] == ["gauss", "figure2", "discrete", "check", "simulate"]
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        expected = 3 if argv[0] == "check" else 0  # the check line reports a violation on orth.json
+        assert run(argv) == expected, (line, capsys.readouterr().err)
 
 
 def _degenerate_aux_json():

@@ -142,6 +142,17 @@ def test_classification():
     assert classify_gaussian(GaussianCRC(1.0, 1.0, 20, 20)) is SecrecyClass.NO_SECRECY_FOR_M1
 
 
+@pytest.mark.parametrize("a", [1 + 5e-10, 1 + 2e-9, 2.0])
+def test_degraded_class_agrees_with_degraded_family(a):
+    g = GaussianCRC(a=a, b=1 / a, p1=20, p2=20)
+    try:
+        corner(g, DEGRADED, 0.5)
+        family_holds = True
+    except GaussError:
+        family_holds = False
+    assert (classify_gaussian(g) is SecrecyClass.LESS_NOISY_NO_SECRECY_FOR_M2) == family_holds
+
+
 def test_swept_region_endpoints_and_monotonicity():
     g = GaussianCRC(a=1.0, b=0.5, p1=20.0, p2=20.0)
     reg = pareto_filter(sweep_points(g, WEAK, steps=1), FAMILIES[WEAK].dims)

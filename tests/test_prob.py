@@ -321,7 +321,7 @@ def sum_stacks(draw):
     """``(cards, S, seed, zero_frac)``: 2-7 axes of 1-6 values (unit axes
     included) and at most ``1 << 16`` floats per stack."""
     cards = draw(st.lists(st.integers(1, 6), min_size=2, max_size=7).filter(lambda c: np.prod(c) <= 1 << 15))
-    heights = [s for s in (2, 3, 40, 160) if s * np.prod(cards) <= 1 << 16]
+    heights = [s for s in (1, 2, 3, 40, 160) if s * np.prod(cards) <= 1 << 16]
     return tuple(cards), draw(st.sampled_from(heights)), draw(st.integers(0, 2**32 - 1)), draw(
         st.sampled_from([0.0, 0.3, 0.9])
     )
@@ -332,6 +332,7 @@ def sum_stacks(draw):
 @example(case=((3, 2, 5, 4), 160, 1, 0.3))  # trailing runs of 4, 20, 40 and 120
 @example(case=((1, 6, 6, 6, 1), 3, 2, 0.0))  # a trailing run of 216 past a unit axis
 @example(case=((6, 1, 6, 6, 6), 40, 3, 0.9))  # trailing runs of 216 and 1296
+@example(case=((3, 2, 5, 4), 1, 4, 0.3))  # a stack of one row
 def test_stacked_sum_equals_numpy_sum_bit_for_bit(case):
     """Every drop subset of an axis-last stack sums to numpy's own ``sum`` of
     the ``(S, *cards)`` stack, bit for bit: rows with zeros, unit axes, and
