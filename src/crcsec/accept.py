@@ -172,7 +172,7 @@ def ac5_orthogonal_corner() -> CriterionResult:
     t0 = time.perf_counter()
     fails: list[str] = []
     ch = channel.orthogonal_channel()
-    hand = _hand_inner_aux()
+    hand = _u_equals_x1([("Q", 1), ("W", 1), ("V", 1), ("U", 2)])  # Q, W, V degenerate
     pts = bounds.bound_point(ch, bounds.BoundKind.INNER, hand)
     exact = any(
         p.r1 == 1.0 and p.r2 == 1.0 and p.re1 == 1.0 and p.re2 == 0.0 for p in pts
@@ -198,12 +198,11 @@ def ac5_orthogonal_corner() -> CriterionResult:
     return _result("AC5", t0, not fails, "; ".join(fails) or "corner reached; outer capped at 1")
 
 
-def _hand_inner_aux() -> prob.JointPmf:
-    """Q, W, V degenerate; U = X1; X1 and X2 independent uniform."""
-    probs = np.zeros((1, 1, 1, 2, 2, 2))
-    for x1, x2 in product(range(2), range(2)):
-        probs[0, 0, 0, x1, x1, x2] = 0.25
-    return prob.JointPmf(("Q", "W", "V", "U", "X1", "X2"), probs)
+def _u_equals_x1(aux_axes: list[tuple[str, int]]) -> prob.JointPmf:
+    """X1 and X2 independent uniform bits, U = X1, every other auxiliary 0."""
+    axes = aux_axes + [("X1", 2), ("X2", 2)]
+    probs = prob.relabel(("X1", "X2"), np.full((1, 2, 2), 0.25), axes, {"U": lambda c: c["X1"]})[0]
+    return prob.JointPmf(tuple(n for n, _ in axes), probs)
 
 
 # ---------------------------------------------------------------- AC6
@@ -248,11 +247,7 @@ def ac7_secrecy_vanishes() -> CriterionResult:
 
 def _benchmark_setup() -> tuple[channel.DiscreteCRC, prob.JointPmf]:
     """Noiseless parallel links with U = X1, V degenerate, uniform inputs."""
-    ch = channel.orthogonal_channel()
-    probs = np.zeros((1, 2, 2, 2))
-    for x1, x2 in product(range(2), range(2)):
-        probs[0, x1, x1, x2] = 0.25
-    return ch, prob.JointPmf(("V", "U", "X1", "X2"), probs)
+    return channel.orthogonal_channel(), _u_equals_x1([("V", 1), ("U", 2)])
 
 
 def pure_noise_channel() -> channel.DiscreteCRC:
@@ -511,17 +506,9 @@ SUITES: dict[str, tuple[Callable[[], CriterionResult], ...]] = {
     "reductions": (ac10_reductions,),
 }
 
-ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
-    ac1_psi_units,
-    ac2_figure_dataset,
-    ac3_gaussian_consistency,
-    ac4_mi_oracle,
-    ac5_orthogonal_corner,
-    ac6_semidet_coincidence,
-    ac7_secrecy_vanishes,
-    ac8_binning,
-    ac9_geometry_oracles,
-    ac10_reductions,
+# AC1 ... AC10 in order, each once
+ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = tuple(
+    dict.fromkeys(check for checks in SUITES.values() for check in checks)
 )
 
 

@@ -51,7 +51,7 @@ from typing import Any
 import numpy as np
 
 from .channel import ChannelError, DiscreteCRC, induce_joint, load_channel
-from .prob import Informations, JointPmf, _entropy_of, marginalize, positive_part, typical_mask
+from .prob import Informations, JointPmf, _entropy_of, marginalize, positive_part, relabel, typical_mask
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
@@ -576,21 +576,16 @@ def merge_w_into_x2(ch: DiscreteCRC, aux: JointPmf) -> tuple[DiscreteCRC, JointP
     """Fold a W layer into the X2 alphabet (the channel ignores the W part).
 
     ``aux`` must carry axes (W, V, U, X1, X2); the result is a channel with
-    |X2'| = |W|*|X2| and an auxiliary joint over (V, U, X1, X2') suitable
-    for the degenerate-W simulator.
+    |X2'| = |W|*|X2| and an auxiliary joint over (V, U, X1, X2'), X2' =
+    W |X2| + X2 (other axes summed out), suitable for the degenerate-W simulator.
     """
     for name in ("W", "V", "U", "X1", "X2"):
         if not aux.has_axes([name]):
             raise SimError(f"aux must carry axis {name!r} to merge W")
-    cw = aux.card("W")
-    cx1, cx2, cy1, cy2 = ch.cards
-    lifted = np.repeat(ch.kernel[:, None, :, :, :], cw, axis=1).reshape(
-        cx1, cw * cx2, cy1, cy2
-    )
-    order = ("V", "U", "X1", "W", "X2")
-    marg = marginalize(aux, order)
-    probs = np.transpose(marg.probs, [marg.axes.index(a) for a in order])
-    probs = probs.reshape(probs.shape[0], probs.shape[1], probs.shape[2], cw * cx2)
+    cw, cx2 = aux.card("W"), aux.card("X2")
+    lifted = np.repeat(ch.kernel[:, None], cw, axis=1).reshape(ch.cards[0], cw * ch.cards[1], *ch.cards[2:])
+    out = [(n, aux.card(n)) for n in ("V", "U", "X1")] + [("X2", cw * cx2)]
+    probs = relabel(aux.axes, aux.probs[None], out, {"X2": lambda c: c["W"] * cx2 + c["X2"]})[0]
     merged = JointPmf(("V", "U", "X1", "X2"), probs)
     return DiscreteCRC(lifted, name=(ch.name + "+w" if ch.name else "merged-w")), merged
 

@@ -24,12 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
+from operator import itemgetter
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .channel import DiscreteCRC, detect_semi_deterministic, push_through
-from .prob import Informations, JointPmf
+from .prob import Informations, JointPmf, relabel
 from .region import RatePoint, Region, _first_distinct, _skyline
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
@@ -103,6 +104,9 @@ def _outer_caps(info: Informations) -> Caps:
       R1+R2 <= I(U;Y1|V,X2) + I(V,X2;Y2)
       Re1 <= [I(U;Y1|V,X2) - I(U;Y2|V,X2)]_+
       Re2 <= [I(V,X2;Y2|W) - I(V,X2;Y1|W)]_+
+
+    The Re2 cap is the ``lessnoisy46`` gap, so it is at most 0 wherever that
+    ordering holds.
     """
     i = info.i
     u_y1_vx2 = i("U", "Y1", ("V", "X2"))
@@ -112,7 +116,7 @@ def _outer_caps(info: Informations) -> Caps:
         vx2_y2,
         u_y1_vx2 + vx2_y2,
         u_y1_vx2 - i("U", "Y2", ("V", "X2")),
-        i(("V", "X2"), "Y2", "W") - i(("V", "X2"), "Y1", "W"),
+        _lessnoisy_gap(info),
     )
 
 
@@ -254,39 +258,6 @@ class SearchCards:
         return cards
 
 
-def _assigned(axes: list[tuple[str, int]], maps: dict[str, Any], x1_dist: np.ndarray) -> np.ndarray:
-    """Stack of joints: X1 from ``x1_dist`` (rows or 1, |X1|), X2 uniform, and
-    each auxiliary ``maps[name]`` of the input pair: ``"x1"``, ``"x2"``,
-    ``"pair"`` (x1 + |X1| x2) or a (rows, pairs) table over pairs x1 |X2| + x2,
-    modulo its cardinality (0 if unmapped). Pairs sharing a cell add in pair
-    order, as a loop over (x1, x2) would."""
-    cards = dict(axes)
-    cx1, cx2 = cards["X1"], cards["X2"]
-    x1, x2 = np.divmod(np.arange(cx1 * cx2), cx2)
-    kinds = {"x1": x1, "x2": x2, "pair": x1 + cx1 * x2}
-    cell = 0
-    for name, card in axes:
-        value = {"X1": "x1", "X2": "x2"}.get(name) or maps.get(name, 0)
-        cell = cell * card + (kinds[value] if isinstance(value, str) else value) % card
-    weights = (x1_dist[:, :, None] * np.full(cx2, 1.0 / cx2)).reshape(len(x1_dist), -1)
-    cell, weights = np.broadcast_arrays(np.atleast_2d(cell), weights)
-    out = np.zeros((len(cell), int(np.prod(list(cards.values())))))
-    np.add.at(out, (np.arange(len(cell))[:, None], cell), weights)
-    return out.reshape(len(cell), *cards.values())
-
-
-# Deterministic auxiliary patterns worth trying before random search: copies
-# of each input and of the joint input index, in a few combinations.
-_COPY_PATTERNS: tuple[dict[str, str], ...] = (
-    {"U": "x1", "V": "x2"},
-    {"U": "x1", "V": "x1"},
-    {"U": "x2", "V": "x1"},
-    {"U": "pair", "V": "x2"},
-    {"U": "pair", "V": "pair"},
-    {"V": "x1"},
-    {"V": "pair"},
-)
-
 BIAS_GRID_POINTS = 51
 
 
@@ -294,17 +265,25 @@ def structured_candidates(ch: DiscreteCRC, axes: list[tuple[str, int]]) -> np.nd
     """Deterministic candidate distributions, emitted before random draws.
 
     A stack of the independent-uniform and all-degenerate joints, copy
-    patterns of the inputs onto the auxiliaries, and (for a binary X1) a
-    bias grid that is uniform in the entropy of X1 so corner-achieving
-    operating points appear along the whole frontier.
+    patterns of the inputs onto the auxiliaries (each input, and the input
+    pair x1 + |X1| x2, in a few combinations; unmapped auxiliaries 0), and
+    (for a binary X1) a bias grid that is uniform in the entropy of X1 so
+    corner-achieving operating points appear along the whole frontier.
     """
-    cx1 = ch.cards[0]
+    cx1, cx2 = ch.cards[:2]
     shape = tuple(c for _, c in axes)
     uniform = np.full((1,) + shape, 1.0 / float(np.prod(shape)))
     degenerate = np.zeros((1,) + shape)
     degenerate[(0,) * degenerate.ndim] = 1.0
-    u1 = np.full((1, cx1), 1.0 / cx1)
-    stacks = [uniform, degenerate] + [_assigned(axes, pattern, u1) for pattern in _COPY_PATTERNS]
+    x1, x2 = itemgetter("X1"), itemgetter("X2")
+
+    def pair(c):
+        return c["X1"] + cx1 * c["X2"]
+
+    patterns = ({"U": x1, "V": x2}, {"U": x1, "V": x1}, {"U": x2, "V": x1},
+                {"U": pair, "V": x2}, {"U": pair, "V": pair}, {"V": x1}, {"V": pair})
+    inputs = np.full((1, cx1), 1.0 / cx1)[:, :, None] * np.full(cx2, 1.0 / cx2)
+    stacks = [uniform, degenerate] + [relabel(("X1", "X2"), inputs, axes, maps) for maps in patterns]
     if cx1 == 2:  # bisect H2(p) = t, p in (0, 0.5), for the grid of t in [0, 1]
         t = np.arange(BIAS_GRID_POINTS) / (BIAS_GRID_POINTS - 1)
         lo, hi = np.zeros_like(t), np.full_like(t, 0.5)
@@ -313,7 +292,8 @@ def structured_candidates(ch: DiscreteCRC, axes: list[tuple[str, int]]) -> np.nd
             below = -(mid * np.log2(mid) + (1 - mid) * np.log2(1 - mid)) < t
             lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         p = 0.5 * (lo + hi)
-        stacks.append(_assigned(axes, {"U": "x1", "V": "x1"}, np.stack([1.0 - p, p], axis=1)))
+        inputs = np.stack([1.0 - p, p], axis=1)[:, :, None] * np.full(cx2, 1.0 / cx2)
+        stacks.append(relabel(("X1", "X2"), inputs, axes, {"U": x1, "V": x1}))
     return np.concatenate(stacks)
 
 
@@ -460,9 +440,10 @@ def _deterministic_map_candidates(
     ch: DiscreteCRC, axes: list[tuple[str, int]], seed: int
 ) -> np.ndarray:
     """Uniform-input joints with aux variables set to deterministic maps: per
-    auxiliary, each (or a seeded sample of) its tables, the others copying the pair."""
+    auxiliary, each (or a seeded sample of) its tables over the input pairs
+    x1 |X2| + x2, the others copying the pair x1 + |X1| x2."""
     cx1, cx2, _, _ = ch.cards
-    u1 = np.full((1, cx1), 1.0 / cx1)
+    inputs = np.full((1, cx1), 1.0 / cx1)[:, :, None] * np.full(cx2, 1.0 / cx2)
     aux = [(n, c) for n, c in axes if n not in ("X1", "X2")]
     n_inputs = cx1 * cx2
     stacks = []
@@ -472,7 +453,9 @@ def _deterministic_map_candidates(
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed, axis_pos)))
             tables = np.array([rng.integers(0, card, n_inputs) for _ in range(MAX_ENUMERATED_MAPS)])
-        stacks.append(_assigned(axes, {**{n: "pair" for n, _ in aux}, name: tables}, u1))
+        maps = {n: lambda c: c["X1"] + cx1 * c["X2"] for n, _ in aux}
+        maps[name] = lambda c: tables[:, c["X1"] * cx2 + c["X2"]]
+        stacks.append(relabel(("X1", "X2"), inputs, axes, maps))
     return np.concatenate(stacks)
 
 

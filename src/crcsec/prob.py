@@ -10,6 +10,8 @@ binning-code simulator) is built on the small toolkit in this module:
   in numpy's own order, so its length-S arrays equal the one-shot values
   bit for bit (a numpy that changes that order fails the parity test, not
   the outputs silently); one joint is the S = 1 stack.
+- :func:`relabel`, one ``bincount`` that moves each cell of a stack of joints
+  to the cell that deterministic maps of its coordinates name.
 - Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
 - Strong joint typicality, one kernel over stacks of words:
   :func:`typical_mask` takes integer arrays of shape ``(..., n)`` per
@@ -24,7 +26,7 @@ use is safe.
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -40,6 +42,7 @@ __all__ = [
     "mutual_information",
     "marginalize",
     "positive_part",
+    "relabel",
     "sample_joint",
     "typical_mask",
 ]
@@ -153,6 +156,36 @@ def _sum_onto(axes: tuple[str, ...], probs: np.ndarray, keep: str | Iterable[str
 def marginalize(p: JointPmf, keep: str | Iterable[str]) -> JointPmf:
     """Marginal of ``p`` onto the ``keep`` variables (original axis order)."""
     return JointPmf(*_sum_onto(p.axes, p.probs, keep))
+
+
+def relabel(
+    axes: Sequence[str],
+    stack: np.ndarray,
+    out_axes: Sequence[tuple[str, int]],
+    maps: Mapping[str, Callable[[dict[str, np.ndarray]], Any]],
+) -> np.ndarray:
+    """A ``(S, *cards)`` stack of joints over ``axes`` moved onto ``out_axes``,
+    ``(name, card)`` pairs: an ``(S, *out cards)`` stack.
+
+    Each source cell lands on the cell whose coordinate on an output axis is
+    ``maps[name](coords)`` modulo its card, ``coords`` mapping each source axis
+    to the coordinates of all source cells in C order; an axis with no map takes
+    the same-named source coordinate, or 0 if there is none. A map may give one
+    row per stack row; the stack's rows and the maps' broadcast. Cells that land
+    together add in source-cell order, with one ``bincount``.
+    """
+    cards = stack.shape[1:]
+    if len(axes) != len(cards):
+        raise ProbError(f"{len(axes)} axis names for a stack of {len(cards)}-dim joints")
+    coords = dict(zip(axes, np.indices(cards).reshape(len(cards), -1)))
+    cell = 0
+    for name, card in out_axes:
+        cell = cell * card + (maps[name](coords) if name in maps else coords.get(name, 0)) % card
+    cell, weights = np.broadcast_arrays(np.atleast_2d(cell), stack.reshape(len(stack), -1))
+    size = int(np.prod([card for _, card in out_axes]))
+    cell = cell + np.arange(len(cell))[:, None] * size
+    out = np.bincount(cell.ravel(), weights=weights.ravel(), minlength=len(cell) * size)
+    return out.reshape((len(cell),) + tuple(card for _, card in out_axes))
 
 
 def _entropy_of(pmf_tensor: np.ndarray) -> float:

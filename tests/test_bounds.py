@@ -21,26 +21,81 @@ from crcsec.bounds import (
     structured_candidates,
     _candidate_stacks,
 )
-from crcsec.channel import erasure_cascade_channel, induce_joint, orthogonal_channel, xor_channel
+from crcsec.binning import RateConstraintError, compute_scheme_informations, derive_scheme_rates
+from crcsec.channel import (
+    DiscreteCRC,
+    detect_semi_deterministic,
+    erasure_cascade_channel,
+    induce_joint,
+    orthogonal_channel,
+    xor_channel,
+)
+from crcsec.prob import relabel
 from crcsec.region import RatePoint, convex_gap, dominates
 
 H2_011 = 0.4999159581645280
 
 
 def joint_with(axes_cards, assign, x1_dist=None, x2_dist=None):
-    """Joint with aux variables as deterministic maps of (x1, x2)."""
+    """Joint with aux variables as deterministic maps of (x1, x2); an input
+    left out of ``axes_cards`` is summed out (its distribution must be given)."""
     names = [n for n, _ in axes_cards]
     cards = dict(axes_cards)
     probs = np.zeros(tuple(c for _, c in axes_cards))
     x1_dist = x1_dist if x1_dist is not None else [1.0 / cards["X1"]] * cards["X1"]
     x2_dist = x2_dist if x2_dist is not None else [1.0 / cards["X2"]] * cards["X2"]
-    for x1, x2 in product(range(cards["X1"]), range(cards["X2"])):
+    for x1, x2 in product(range(len(x1_dist)), range(len(x2_dist))):
         idx = tuple(
             x1 if n == "X1" else x2 if n == "X2" else assign.get(n, lambda a, b: 0)(x1, x2) % cards[n]
             for n in names
         )
         probs[idx] += x1_dist[x1] * x2_dist[x2]
     return prob.JointPmf(tuple(names), probs)
+
+
+@st.composite
+def relabel_cases(draw):
+    """Output axes in shuffled order: some auxiliaries, and X1 and X2 unless
+    summed out. Per-row input distributions (or one shared row) and per-row
+    tables over (x1, x2) with values past each card; some auxiliaries have no
+    table and go to 0. Small cards make cells land together."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cx1, cx2, rows = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    aux = [(n, draw(st.integers(1, 4))) for n in ("Q", "W", "V", "U") if draw(st.booleans())]
+    inputs = [(n, c) for n, c in (("X1", cx1), ("X2", cx2)) if draw(st.booleans())]
+    out_axes = aux + inputs or [("V", 1)]
+    out_axes = [out_axes[i] for i in rng.permutation(len(out_axes))]
+    tables = {n: rng.integers(0, 3 * card, (rows, cx1, cx2)) for n, card in aux if draw(st.booleans())}
+    x1, x2 = rng.dirichlet(np.ones(cx1), rows), rng.dirichlet(np.ones(cx2), rows)
+    if draw(st.booleans()):  # one source row against per-row tables
+        x1, x2 = x1[:1], x2[:1]
+    return out_axes, tables, x1, x2, draw(st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=relabel_cases())
+def test_relabel_equals_loop_oracle(case):
+    """Row r of the kernel's stack is the loop oracle's joint for row r's
+    tables and inputs, bit for bit on the (X1, X2) source order (the loop's
+    order of adding) and within 1e-15 on (X2, X1)."""
+    out_axes, tables, x1, x2, flipped = case
+    stack = x1[:, :, None] * x2[:, None, :]
+    maps = {n: (lambda c, t=t: t[:, c["X1"], c["X2"]]) for n, t in tables.items()}
+    if flipped:
+        got = relabel(("X2", "X1"), stack.transpose(0, 2, 1), out_axes, maps)
+    else:
+        got = relabel(("X1", "X2"), stack, out_axes, maps)
+    rows = max([len(x1)] + [len(t) for t in tables.values()])
+    assert got.shape == (rows,) + tuple(c for _, c in out_axes)
+    for r in range(rows):
+        assign = {n: (lambda a, b, t=t[r]: t[a, b]) for n, t in tables.items()}
+        want = joint_with(out_axes, assign, x1[r % len(x1)], x2[r % len(x2)]).probs
+        if flipped:
+            np.testing.assert_allclose(got[r], want, rtol=0.0, atol=1e-15)
+        else:
+            assert np.array_equal(got[r], want)
+    with pytest.raises(prob.ProbError):  # one axis name per joint axis
+        relabel(("X1",), stack, out_axes, maps)
 
 
 INNER_AXES = [("Q", 1), ("W", 1), ("V", 1), ("U", 2), ("X1", 2), ("X2", 2)]
@@ -381,3 +436,122 @@ def test_inner_search_reaches_semidet_region_on_xor():
     semidet, inner = _searches(xor_channel(), BoundKind.SEMIDET, BoundKind.INNER)
     assert convex_gap(semidet, inner) <= 0.01
     assert convex_gap(inner, semidet) <= 0.01
+
+
+# The paper's region inclusions hold per candidate, through deterministic maps
+# of one bound's auxiliaries onto another's (prob.relabel). Caps compare
+# within 1e-12; no sampled search is involved.
+CAP_TOL = 1e-12
+
+
+def _random_channel(rng, semi_deterministic=False):
+    """A random 2x2x2x3 kernel (its rows Dirichlet(0.5)); with a noiseless Y1
+    a random map (x1, x2) -> y1 and a random P(y2|x1,x2)."""
+    if semi_deterministic:
+        y1 = np.eye(2)[rng.integers(0, 2, (2, 2))]
+        return DiscreteCRC(y1[:, :, :, None] * rng.dirichlet(np.ones(3), (2, 2))[:, :, None, :])
+    return DiscreteCRC(rng.dirichlet(np.full(6, 0.5), (2, 2)).reshape(2, 2, 2, 3))
+
+
+def _candidates(rng, ch, axes, draws=50):
+    """The structured candidates of ``axes``, then flat and sparse Dirichlet rows."""
+    shape = tuple(c for _, c in axes)
+    rows = [rng.dirichlet(np.full(int(np.prod(shape)), a), draws) for a in (1.0, 0.1)]
+    return np.concatenate([structured_candidates(ch, axes)] + [r.reshape((-1,) + shape) for r in rows])
+
+
+def _caps(ch, kind, axes, stack):
+    return bounds._caps(ch, BOUNDS[kind], [n for n, _ in axes], stack)
+
+
+INCLUSION_INNER = [("Q", 2), ("W", 2), ("V", 2), ("U", 3), ("X1", 2), ("X2", 2)]
+
+
+def test_inner_within_outer_per_candidate():
+    """With U' = U, V' = (V, W, Q) and W' = (W, X2, Q), each of the five outer
+    caps is at least the inner cap, on every candidate of 10 random channels."""
+    rng = np.random.default_rng(16)
+    cq, cw, cv, cu, cx1, cx2 = (c for _, c in INCLUSION_INNER)
+    outer_axes = [("W", cw * cx2 * cq), ("V", cv * cw * cq), ("U", cu), ("X1", cx1), ("X2", cx2)]
+    maps = {
+        "V": lambda c: c["V"] + cv * (c["W"] + cw * c["Q"]),
+        "W": lambda c: c["W"] + cw * (c["X2"] + cx2 * c["Q"]),
+    }
+    for _ in range(10):
+        ch = _random_channel(rng)
+        stack = _candidates(rng, ch, INCLUSION_INNER)
+        inner = _caps(ch, BoundKind.INNER, INCLUSION_INNER, stack)
+        mapped = relabel([n for n, _ in INCLUSION_INNER], stack, outer_axes, maps)
+        outer = _caps(ch, BoundKind.OUTER, outer_axes, mapped)
+        assert (outer >= inner - CAP_TOL).all(), (outer - inner).min(axis=1)
+
+
+def test_semidet_equals_outer_at_u_eq_y1_per_candidate():
+    """With U' = Y1 = f(X1, X2) and W' = X2, the five outer caps equal the
+    semidet caps, on every candidate of 10 random semi-deterministic channels."""
+    rng = np.random.default_rng(17)
+    semidet_axes = [("V", 5), ("X1", 2), ("X2", 2)]
+    outer_axes = [("W", 2), ("V", 5), ("U", 2), ("X1", 2), ("X2", 2)]
+    for _ in range(10):
+        ch = _random_channel(rng, semi_deterministic=True)
+        f = detect_semi_deterministic(ch)
+        psi = {"U": lambda c: f[c["X1"], c["X2"]], "W": lambda c: c["X2"]}
+        stack = _candidates(rng, ch, semidet_axes)
+        semidet = _caps(ch, BoundKind.SEMIDET, semidet_axes, stack)
+        mapped = relabel([n for n, _ in semidet_axes], stack, outer_axes, psi)
+        outer = _caps(ch, BoundKind.OUTER, outer_axes, mapped)
+        assert np.abs(outer - semidet).max() <= CAP_TOL
+
+
+def _outer_within_lessnoisy(ch, stack, axes):
+    """Whether each outer cap is at most the lessnoisy cap on every row (Re caps
+    taken positive parts): unmapped, since lessnoisy's caps are outer's with its
+    R1 min and its Re2 cap (the ``lessnoisy46`` gap) dropped."""
+    outer, lessnoisy = (_caps(ch, kind, axes, stack) for kind in (BoundKind.OUTER, BoundKind.LESSNOISY))
+    outer[3:], lessnoisy[3:] = np.maximum(outer[3:], 0.0), np.maximum(lessnoisy[3:], 0.0)
+    return bool((outer <= lessnoisy + CAP_TOL).all())
+
+
+def test_outer_within_lessnoisy_per_candidate_where_the_ordering_holds():
+    rng = np.random.default_rng(18)
+    axes = [("W", 2), ("V", 3), ("U", 3), ("X1", 2), ("X2", 2)]
+    erasure, orth = erasure_cascade_channel(), orthogonal_channel()
+    assert _outer_within_lessnoisy(erasure, _candidates(rng, erasure, axes, 200), axes)
+    # the orthogonal channel violates lessnoisy46, so some outer Re2 cap is positive
+    assert not _outer_within_lessnoisy(orth, _candidates(rng, orth, axes, 200), axes)
+
+
+def test_accepted_scheme_designs_lie_in_the_inner_polytope():
+    """Every design ``derive_scheme_rates`` accepts gives the point (r1, r21 + r22,
+    l1, l21) inside the inner polytope of its aux relabeled onto Q = W = 0:
+    R1 <= A, R2 <= B, R1 + R2 <= S, Re_i <= min(R_i, [E_i]_+). U is correlated
+    with (V, X2): the aux is U = X1 independent of (V, X2), mixed with a flat draw."""
+    rng = np.random.default_rng(20)
+    scheme_axes = [("V", 2), ("U", 3), ("X1", 2), ("X2", 2)]
+    inner_axes = [("Q", 1), ("W", 1)] + scheme_axes
+    accepted = {0.0: 0, 0.02: 0}
+    for _ in range(40):
+        ch = DiscreteCRC(rng.dirichlet(np.full(6, 0.2), (2, 2)).reshape(2, 2, 2, 3))
+        source = (rng.dirichlet(np.ones(4))[:, None] * rng.dirichlet(np.ones(2))).reshape(1, 2, 2, 2)
+        u_eq_x1 = relabel(("V", "X2", "X1"), source, scheme_axes, {"U": lambda c: c["X1"]})[0]
+        t = rng.uniform(0.0, 0.3)
+        flat = rng.dirichlet(np.ones(24)).reshape(2, 3, 2, 2)
+        aux = prob.JointPmf(("V", "U", "X1", "X2"), (1 - t) * u_eq_x1 + t * flat)
+        on_inner = relabel(aux.axes, aux.probs[None], inner_axes, {})  # Q = W = 0
+        a, b, s, e1, e2 = _caps(ch, BoundKind.INNER, inner_axes, on_inner)[:, 0]
+        info = compute_scheme_informations(ch, aux)
+        for eps in accepted:
+            for f1, f21, f22 in rng.uniform(0.0, 1.0, (3, 3)):
+                r21 = f21 * max(0.0, info.i_v_y2_x2 - eps)
+                r1_cap = min(info.i_u_y1 - info.i_u_x2, info.i_u_y1 + info.i_v_y2_x2 - info.i_u_vx2 - r21)
+                r1 = f1 * max(0.0, r1_cap)
+                try:
+                    rates = derive_scheme_rates(ch, aux, r1, r21, f22 * info.i_x2_y2, eps, 8)
+                except RateConstraintError:
+                    continue
+                accepted[eps] += 1
+                r1, r2 = rates.r1, rates.r2
+                assert r1 <= a + CAP_TOL and r2 <= b + CAP_TOL and r1 + r2 <= s + CAP_TOL
+                assert rates.l1 <= min(r1, max(e1, 0.0)) + CAP_TOL
+                assert rates.l21 <= min(r2, max(e2, 0.0)) + CAP_TOL
+    assert min(accepted.values()) >= 30, accepted
