@@ -43,14 +43,14 @@ equivocation sums over it; each decoder tests all its codewords in one call.
 
 from __future__ import annotations
 
-import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
-from .channel import ChannelError, DiscreteCRC, induce_joint, load_channel
+from .channel import ChannelError, DiscreteCRC, induce_joint, load_channel, read_config
 from .prob import Informations, JointPmf, _entropy_of, marginalize, positive_part, relabel, typical_mask
 
 CONSTRAINT_TOL = 1e-9
@@ -535,12 +535,11 @@ def run_trials(
             dec1_err += 1
         if decode_primary(cb, y2) != (m22, m21):
             dec2_err += 1
-    cy1, cy2 = ch.cards[2], ch.cards[3]
-    eq_m1 = eq_m2 = None
-    if cy2**rates.n <= exact_budget:
-        eq_m1 = exact_equivocation(books[0], ch, "m1_at_y2", exact_budget)
-    if cy1**rates.n <= exact_budget:
-        eq_m2 = exact_equivocation(books[0], ch, "m2_at_y1", exact_budget)
+    eq = dict.fromkeys(("m1_at_y2", "m2_at_y1"))  # None where |Y|^n is over the budget
+    for observer in eq:
+        with suppress(BudgetError):
+            eq[observer] = exact_equivocation(books[0], ch, observer, exact_budget)
+    eq_m1, eq_m2 = eq["m1_at_y2"], eq["m2_at_y1"]
     n = rates.n
     return SimReport(
         n=n,
@@ -612,19 +611,12 @@ class SimConfig:
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Parse a simulation config file, or the ``config`` entry of a
-    ``simulate`` manifest."""
-    path = Path(path)
+    ``simulate`` manifest, as :func:`channel.read_config` reads it (the
+    channel path relative to the file; ChannelError when the file holds no
+    JSON object)."""
+    obj = read_config(path)
     try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise SimError(f"cannot parse simulation config {path}: {exc}") from exc
-    if isinstance(obj, dict):
-        obj = obj.get("config", obj)
-    try:
-        channel_path = Path(obj["channel"])
-        if not channel_path.is_absolute():
-            channel_path = path.parent / channel_path
-        channel = load_channel(channel_path)
+        channel = load_channel(obj["channel"])
         aux = JointPmf.from_jsonable(obj["aux"])
         if aux.has_axes(["W"]):
             # a W layer in the config is folded into the X2 alphabet
@@ -641,7 +633,7 @@ def load_sim_config(path: str | Path) -> SimConfig:
             seed=int(obj["seed"]),
             codebooks=int(obj.get("codebooks", 1)),
             exact_budget=int(obj.get("exact_budget", DEFAULT_EXACT_BUDGET)),
-            document=dict(obj, channel=str(channel_path.resolve())),
+            document=obj,
         )
     except (KeyError, TypeError, ValueError, ChannelError) as exc:
         if isinstance(exc, SimError):

@@ -162,6 +162,22 @@ def load_channel(path: str | Path) -> DiscreteCRC:
     return DiscreteCRC(flat.reshape(cards), name=str(obj.get("name", "")))
 
 
+def read_config(path: str | Path) -> dict:
+    """The JSON object of a config file, or the ``config`` entry of a manifest,
+    with a string ``channel`` entry made absolute against the file's directory."""
+    path = Path(path)
+    try:
+        obj = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ChannelError(f"cannot parse config file {path}: {exc}") from exc
+    obj = obj.get("config", obj) if isinstance(obj, dict) else obj
+    if not isinstance(obj, dict):
+        raise ChannelError(f"config file {path} must hold a JSON object")
+    if isinstance(obj.get("channel"), str):
+        obj["channel"] = str((path.parent / obj["channel"]).resolve())
+    return obj
+
+
 def write_channel(ch: DiscreteCRC, path: str | Path) -> None:
     """Write a channel in the JSON file format (round-trips bit-exactly)."""
     obj = {

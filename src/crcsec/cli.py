@@ -1,13 +1,16 @@
 """Batch command-line front end.
 
-Commands: gauss, figure2, discrete, check, simulate, verify. gauss,
-figure2, discrete and simulate, and check when given ``--out``, write a
-``manifest.json`` next to their outputs recording the resolved
-configuration, the master seed and the tool version; re-running such a
-command from its manifest (``--config manifest.json``) reproduces the
-outputs byte-identically. check without ``--out`` writes nothing, and
-verify writes only the JSON summary named by its ``--out``. Numeric output
-uses 9 decimal digits, period decimal separator.
+Commands: gauss, figure2, discrete, check, simulate, verify. Each flag of
+gauss, figure2, discrete and check is a config key; ``--config`` names a
+JSON config or manifest (:func:`crcsec.channel.read_config`), whose
+entries explicit flags override. gauss, figure2, discrete and simulate,
+and check when given an ``out``, write a ``manifest.json`` next to their
+outputs recording the resolved configuration, the master seed and the
+tool version; re-running such a command from its manifest (``--config
+manifest.json``) reproduces the outputs byte-identically. check without
+``out`` writes nothing, and verify writes only the JSON summary named by
+its ``--out``. Numeric output uses 9 decimal digits, period decimal
+separator.
 
 Exit codes: 0 success / condition holds, 1 a verify criterion failed,
 2 I/O or configuration error, 3 condition violated, 4 scheme-rate
@@ -23,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, accept, binning, bounds, gaussian, region
-from .channel import GaussianCRC, load_channel
+from .channel import GaussianCRC, load_channel, read_config
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,36 +47,34 @@ class CliError(Exception):
         self.code = code
 
 
-def _write_manifest(outdir: Path, command: str, config: dict[str, Any], outputs: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "outputs": outputs,
-    }
-    (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-
-
-def _load_config_overlay(args: argparse.Namespace, keys: Sequence[str]) -> dict[str, Any]:
-    """Resolve flag values, letting explicit flags override --config entries."""
-    cfg: dict[str, Any] = {}
-    if getattr(args, "config", None):
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"cannot parse config file {args.config}: {exc}")
-        raw = raw.get("config", raw) if isinstance(raw, dict) else raw
-        if not isinstance(raw, dict):
-            raise CliError(f"config file {args.config} must hold a JSON object")
-        cfg.update(raw)
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    missing = [k for k in keys if k not in cfg]
+def _config(args: argparse.Namespace, optional: Sequence[str] = ()) -> dict[str, Any]:
+    """The command's configuration: the entries of its ``--config`` document
+    (:func:`read_config`), overridden by its explicit flags. Every flag
+    except ``config`` names a key, required unless ``optional``."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    cfg = read_config(args.config) if args.config else {}
+    cfg.update({k: v for k, v in flags.items() if v is not None})
+    missing = [k for k in flags if k not in cfg and k not in optional]
     if missing:
         raise CliError(f"missing required options: {', '.join('--' + m for m in missing)}")
     return cfg
+
+
+def _record(args: argparse.Namespace, outdir: Path | None, cfg: dict[str, Any], outputs: list[str],
+            summary: dict[str, Any], code: int = EXIT_OK) -> int:
+    """End a run: write ``manifest.json`` beside the outputs in ``outdir``
+    (none when None), print the JSON summary and return the exit code."""
+    if outdir is not None:
+        manifest = {"command": args.command, "version": __version__, "config": cfg, "outputs": outputs}
+        (outdir / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    print(json.dumps(summary))
+    return code
+
+
+def _outdir(path: Any) -> Path:
+    outdir = Path(path)
+    outdir.mkdir(parents=True, exist_ok=True)
+    return outdir
 
 
 def _sweep_rows(points: list[region.RatePoint], dims: tuple[str, ...]) -> list[str]:
@@ -85,41 +86,35 @@ def _sweep_rows(points: list[region.RatePoint], dims: tuple[str, ...]) -> list[s
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
-    cfg = _load_config_overlay(args, ["mode", "a", "b", "p1", "p2", "steps", "out"])
+    cfg = _config(args)
     mode = gaussian.parse_mode(str(cfg["mode"]))
     g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
     points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
     dims = gaussian.FAMILIES[mode].dims
     rows = _sweep_rows(points, dims)
     reg = region.pareto_filter(points, dims)
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg["out"])
     (outdir / "sweep.csv").write_text("\n".join(rows) + "\n")
     region.export_csv(reg, outdir / "frontier.csv", sidecar=outdir / "frontier_meta.json")
     cfg["mode"] = mode.value
-    _write_manifest(outdir, "gauss", cfg, ["sweep.csv", "frontier.csv", "frontier_meta.json"])
-    print(json.dumps({"rows": len(rows) - 1, "frontier": len(reg)}))
-    return EXIT_OK
+    outputs = ["sweep.csv", "frontier.csv", "frontier_meta.json"]
+    return _record(args, outdir, cfg, outputs, {"rows": len(rows) - 1, "frontier": len(reg)})
 
 
 def cmd_figure2(args: argparse.Namespace) -> int:
-    cfg = _load_config_overlay(args, ["outdir"])
-    outdir = Path(cfg["outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    cfg = _config(args)
+    outdir = _outdir(cfg["outdir"])
     outputs = []
     dims = gaussian.FAMILIES[gaussian.GaussMode.WEAK].dims
     for b, points in gaussian.figure_sweeps():
-        rows = _sweep_rows(points, dims)
         name = f"fig2_b{b}.csv"
-        (outdir / name).write_text("\n".join(rows) + "\n")
+        (outdir / name).write_text("\n".join(_sweep_rows(points, dims)) + "\n")
         outputs.append(name)
-    _write_manifest(outdir, "figure2", cfg, outputs)
-    print(json.dumps({"files": outputs}))
-    return EXIT_OK
+    return _record(args, outdir, cfg, outputs, {"files": outputs})
 
 
 def cmd_discrete(args: argparse.Namespace) -> int:
-    cfg = _load_config_overlay(args, ["bound", "channel", "cards", "samples", "seed", "out"])
+    cfg = _config(args)
     kind = bounds.parse_bound(str(cfg["bound"]))
     ch = load_channel(cfg["channel"])
     cards_raw = cfg["cards"]
@@ -127,44 +122,33 @@ def cmd_discrete(args: argparse.Namespace) -> int:
         cards_raw = [int(v) for v in cards_raw.split(",")]
     cards = bounds.SearchCards(*[int(v) for v in cards_raw])
     reg = bounds.search_region(ch, kind, cards=cards, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
-    outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg["out"])
     region.export_csv(reg, outdir / "frontier.csv", sidecar=outdir / "frontier_meta.json")
-    cfg["bound"] = kind.value
-    cfg["channel"] = str(Path(cfg["channel"]).resolve())
-    cfg["cards"] = list(cards_raw)
-    _write_manifest(outdir, "discrete", cfg, ["frontier.csv", "frontier_meta.json"])
-    print(json.dumps({"frontier": len(reg)}))
-    return EXIT_OK
+    cfg.update(bound=kind.value, channel=str(Path(cfg["channel"]).resolve()), cards=list(cards_raw))
+    return _record(args, outdir, cfg, ["frontier.csv", "frontier_meta.json"], {"frontier": len(reg)})
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _load_config_overlay(args, ["channel", "condition", "samples", "seed"])
+    cfg = _config(args, optional=["out"])
     cond = bounds.parse_condition(str(cfg["condition"]))
     ch = load_channel(cfg["channel"])
     report = bounds.check_condition(ch, cond, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
     payload = report.to_jsonable()
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(cfg["out"]) if "out" in cfg else None
+    if outdir is not None:
         (outdir / "condition_report.json").write_text(json.dumps(payload, indent=1))
-        cfg["condition"] = cond.value
-        cfg["channel"] = str(Path(cfg["channel"]).resolve())
-        _write_manifest(outdir, "check", cfg, ["condition_report.json"])
-    print(json.dumps(payload))
-    return EXIT_VIOLATED if report.violated else EXIT_OK
+        cfg.update(condition=cond.value, channel=str(Path(cfg["channel"]).resolve()))
+    code = EXIT_VIOLATED if report.violated else EXIT_OK
+    return _record(args, outdir, cfg, ["condition_report.json"], payload, code)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = binning.load_sim_config(args.config)
     report = binning.run_simulation(cfg)
     payload = report.to_jsonable()
-    outdir = Path(args.out) if args.out else Path(args.config).parent
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args.out or Path(args.config).parent)
     (outdir / "sim_report.json").write_text(json.dumps(payload, indent=1))
-    _write_manifest(outdir, "simulate", cfg.document, ["sim_report.json"])
-    print(json.dumps(payload))
-    return EXIT_OK
+    return _record(args, outdir, cfg.document, ["sim_report.json"], payload)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

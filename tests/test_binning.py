@@ -250,6 +250,21 @@ def test_run_trials_over_two_codebooks():
     assert eqs[1][0] != eqs[1][1]  # precondition: the erasure codebooks differ
 
 
+def test_run_trials_nulls_only_the_observer_over_budget():
+    # erasure cascade at n = 8: |Y2|^8 = 6561 is over a budget of 1000, |Y1|^8 = 256 under
+    ch = erasure_cascade_channel(0.3)
+    _, aux = _benchmark_setup()
+    rates = derive_scheme_rates(ch, aux, r1=0.3, r21=0.0, r22=0.0, eps=0.2, n=8)
+    report = run_trials(ch, aux, rates, trials=4, seed=1, exact_budget=1000).to_jsonable()
+    assert report["exact_equivocation_m1_at_y2"] is None
+    assert report["per_symbol_equivocation_m1_at_y2"] is None
+    cb = build_codebook(ch, aux, rates, binning._derived_seed(1, 1_000_000))
+    with pytest.raises(BudgetError):
+        exact_equivocation(cb, ch, "m1_at_y2", budget=1000)
+    assert report["exact_equivocation_m2_at_y1"] == exact_equivocation(cb, ch, "m2_at_y1", budget=1000)
+    assert report["per_symbol_equivocation_m2_at_y1"] == report["exact_equivocation_m2_at_y1"] / 8
+
+
 def test_decode_error_monotone_in_blocklength():
     ch, aux = _benchmark_setup()
     errs = []

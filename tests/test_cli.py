@@ -200,6 +200,53 @@ def test_check_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: file not found: {tmp_path / 'nope.json'}\n"
 
 
+SIM_CONFIG = {"channel": "orth.json", "n": 6, "r1": 0.5, "r21": 0.0, "r22": 0.5, "eps": 0.2,
+              "trials": 20, "seed": 5}
+
+
+@pytest.mark.parametrize("command", ["discrete", "check", "simulate"])
+def test_config_channel_is_relative_to_the_config_file(tmp_path, monkeypatch, command):
+    ch, aux = _benchmark_setup()
+    (tmp_path / "cfg").mkdir()
+    (tmp_path / "elsewhere").mkdir()
+    write_channel(ch, tmp_path / "cfg" / "orth.json")
+    config = {
+        "discrete": {"channel": "orth.json", "bound": "inner", "cards": "1,1,1,2", "samples": 20, "seed": 7},
+        "check": {"channel": "orth.json", "condition": "semidet11", "samples": 20, "seed": 0},
+        "simulate": dict(SIM_CONFIG, aux=aux.to_jsonable()),
+    }[command]
+    (tmp_path / "cfg" / "c.json").write_text(json.dumps(config))
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    expected = 3 if command == "check" else 0  # semidet11 is violated on orth
+    assert run([command, "--config", Path("..", "cfg", "c.json"), "--out", "out"]) == expected
+    manifest = json.loads(Path("out", "manifest.json").read_text())
+    assert manifest["config"]["channel"] == str((tmp_path / "cfg" / "orth.json").resolve())
+
+
+def test_check_takes_out_from_its_config(tmp_path, capsys):
+    write_channel(orthogonal_channel(), tmp_path / "orth.json")
+    out = tmp_path / "chk"
+    (tmp_path / "c.json").write_text(json.dumps({"channel": "orth.json", "condition": "semidet11",
+                                                 "samples": 20, "seed": 0, "out": str(out)}))
+    assert run(["check", "--config", tmp_path / "c.json"]) == 3
+    report = json.loads((out / "condition_report.json").read_text())
+    assert json.loads(capsys.readouterr().out) == report
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == "check" and manifest["outputs"] == ["condition_report.json"]
+    assert manifest["config"]["out"] == str(out)
+
+
+def test_bench_probe_loads_channel_and_sim_config(tmp_path):
+    # bench/probe.py times set-up by importing load_channel and load_sim_config
+    ch, aux = _benchmark_setup()
+    write_channel(ch, tmp_path / "orth.json")
+    (tmp_path / "sim.json").write_text(json.dumps(dict(SIM_CONFIG, aux=aux.to_jsonable())))
+    probe = Path(__file__).resolve().parents[1] / "bench" / "probe.py"
+    argv = [sys.executable, str(probe), f"channel:{tmp_path / 'orth.json'}", f"sim:{tmp_path / 'sim.json'}"]
+    out = subprocess.run(argv, capture_output=True, text=True, cwd=tmp_path / "..", timeout=120)
+    assert (out.returncode, out.stdout) == (0, "ready\n"), out.stderr
+
+
 def test_simulate_cli(tmp_path, capsys):
     ch, aux = _benchmark_setup()
     write_channel(ch, tmp_path / "orth.json")
