@@ -2,22 +2,9 @@
 
 Each criterion is a self-contained check with an independent oracle where
 one is called for (brute-force dominance scans, direct double-sum mutual
-information, exact posterior enumeration). The pytest acceptance module
-and the ``crcsec verify`` command both run these.
-
-Criterion ids:
-
-  AC1  capacity-function unit values
-  AC2  reference four-curve dataset properties
-  AC3  Gaussian family consistency, corner vs. written-out closed forms,
-       classification
-  AC4  mutual information vs. direct-sum oracle
-  AC5  noiseless-parallel-links corner (inner search + outer caps)
-  AC6  outer/semi-deterministic coincidence on the identical-output channel
-  AC7  vanishing secrecy coordinates on the identical-output channel
-  AC8  binning simulator (equivocation, benchmark errors, rate validation)
-  AC9  frontier oracle; support function and hull membership vs. an LP
-  AC10 no-secrecy reductions reproduce projected frontiers
+information, exact posterior enumeration). :data:`CRITERIA` is the ordered
+table of them, id -> check; :func:`run_criterion` times one, and the pytest
+acceptance module and the ``crcsec verify`` command both run them through it.
 """
 
 from __future__ import annotations
@@ -41,30 +28,20 @@ class CriterionResult:
     seconds: float
 
 
-def _result(criterion: str, t0: float, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(criterion, passed, detail, time.perf_counter() - t0)
-
-
 def _check(failures: list[str], ok: bool, label: str) -> None:
     if not ok:
         failures.append(label)
 
 
-# ---------------------------------------------------------------- AC1
-
-def ac1_psi_units() -> CriterionResult:
-    t0 = time.perf_counter()
+def psi_units() -> tuple[list[str], str]:
     fails: list[str] = []
     _check(fails, gaussian.psi(0.0) == 0.0, "psi(0) != 0")
     _check(fails, gaussian.psi(3.0) == 1.0, "psi(3) != 1")
     _check(fails, abs(gaussian.psi(20.0) - 2.196159) <= 1e-6, "psi(20) off")
-    return _result("AC1", t0, not fails, "; ".join(fails) or "psi unit values match")
+    return fails, "psi unit values match"
 
 
-# ---------------------------------------------------------------- AC2
-
-def ac2_figure_dataset() -> CriterionResult:
-    t0 = time.perf_counter()
+def figure_dataset_properties() -> tuple[list[str], str]:
     fails: list[str] = []
     data = gaussian.figure_dataset()
     max_r2 = [max(p.r2 for p in reg.frontier) for _, reg in data]
@@ -73,13 +50,10 @@ def ac2_figure_dataset() -> CriterionResult:
     _check(fails, all(a >= b - 1e-12 for a, b in zip(max_re1, max_re1[1:])), "max Re1 not nonincreasing in b")
     b1_region = dict(data)[1.0]
     _check(fails, all(p.re1 == 0.0 for p in b1_region.frontier), "Re1 not identically 0 at b=1")
-    return _result("AC2", t0, not fails, "; ".join(fails) or "four-curve dataset properties hold")
+    return fails, "four-curve dataset properties hold"
 
 
-# ---------------------------------------------------------------- AC3
-
-def ac3_gaussian_consistency() -> CriterionResult:
-    t0 = time.perf_counter()
+def gaussian_consistency() -> tuple[list[str], str]:
     fails: list[str] = []
     rng = np.random.default_rng(3)
     modes = gaussian.GaussMode
@@ -118,10 +92,8 @@ def ac3_gaussian_consistency() -> CriterionResult:
             got == (abs(g.b) >= 1.0),
             f"classification wrong at a={a}, b={g.b}",
         )
-    return _result("AC3", t0, not fails, "; ".join(fails) or "Gaussian families consistent")
+    return fails, "Gaussian families consistent"
 
-
-# ---------------------------------------------------------------- AC4
 
 def mi_direct_sum(p: prob.JointPmf, a: str, b: str, c: str) -> float:
     """Independent oracle: I(A;B|C) by the literal double sum."""
@@ -154,22 +126,18 @@ def mi_direct_sum(p: prob.JointPmf, a: str, b: str, c: str) -> float:
     return total
 
 
-def ac4_mi_oracle() -> CriterionResult:
-    t0 = time.perf_counter()
+def mi_oracle() -> tuple[list[str], str]:
     worst = 0.0
     for i in range(1000):
         p = prob.sample_joint([("A", 2), ("B", 2), ("C", 2)], seed=40_000 + i)
         got = prob.conditional_mutual_information(p, "A", "B", "C")
         want = mi_direct_sum(p, "A", "B", "C")
         worst = max(worst, abs(got - want))
-    ok = worst <= 1e-12
-    return _result("AC4", t0, ok, f"max |CMI - direct sum| = {worst:.2e}")
+    detail = f"max |CMI - direct sum| = {worst:.2e}"
+    return [] if worst <= 1e-12 else [detail], detail
 
 
-# ---------------------------------------------------------------- AC5
-
-def ac5_orthogonal_corner() -> CriterionResult:
-    t0 = time.perf_counter()
+def orthogonal_corner() -> tuple[list[str], str]:
     fails: list[str] = []
     ch = channel.orthogonal_channel()
     hand = _u_equals_x1([("Q", 1), ("W", 1), ("V", 1), ("U", 2)])  # Q, W, V degenerate
@@ -195,7 +163,7 @@ def ac5_orthogonal_corner() -> CriterionResult:
         for p in bounds.bound_point(ch, bounds.BoundKind.OUTER, aux):
             over = max(over, p.r1, p.r2)
     _check(fails, over <= 1.0 + 1e-9, f"outer vertex exceeded 1: {over}")
-    return _result("AC5", t0, not fails, "; ".join(fails) or "corner reached; outer capped at 1")
+    return fails, "corner reached; outer capped at 1"
 
 
 def _u_equals_x1(aux_axes: list[tuple[str, int]]) -> prob.JointPmf:
@@ -205,11 +173,9 @@ def _u_equals_x1(aux_axes: list[tuple[str, int]]) -> prob.JointPmf:
     return prob.JointPmf(tuple(n for n, _ in axes), probs)
 
 
-# ---------------------------------------------------------------- AC6
-
-def ac6_semidet_coincidence(samples: int = 5000) -> CriterionResult:
-    t0 = time.perf_counter()
+def semidet_coincidence() -> tuple[list[str], str]:
     fails: list[str] = []
+    samples = 5000
     ch = channel.xor_channel()
     report = bounds.check_condition(ch, bounds.Condition.SEMI_DET, samples=200, seed=6)
     _check(fails, report.max_gap == 0.0, f"identical-output gap {report.max_gap!r} != 0")
@@ -217,15 +183,10 @@ def ac6_semidet_coincidence(samples: int = 5000) -> CriterionResult:
     semidet = bounds.search_region(ch, bounds.BoundKind.SEMIDET, samples=samples, seed=62)
     frac = region.inclusion_fraction(outer, semidet, tol=0.02)
     _check(fails, frac >= 0.98, f"inclusion fraction {frac:.4f} < 0.98")
-    return _result(
-        "AC6", t0, not fails, "; ".join(fails) or f"inclusion fraction {frac:.4f}"
-    )
+    return fails, f"inclusion fraction {frac:.4f}"
 
 
-# ---------------------------------------------------------------- AC7
-
-def ac7_secrecy_vanishes() -> CriterionResult:
-    t0 = time.perf_counter()
+def secrecy_vanishes() -> tuple[list[str], str]:
     ch = channel.xor_channel()
     evaluators: list[tuple[bounds.BoundKind, list[tuple[str, int]]]] = [
         (bounds.BoundKind.INNER, [("Q", 2), ("W", 2), ("V", 3), ("U", 3)]),
@@ -239,11 +200,8 @@ def ac7_secrecy_vanishes() -> CriterionResult:
             for p in bounds.bound_point(ch, kind, prob.sample_joint(axes, seed=70_000 + i)):
                 if p.re1 != 0.0 or p.re2 != 0.0:
                     bad.append(f"{kind.value}: ({p.r1}, {p.r2}, {p.re1}, {p.re2})")
-    ok = not bad
-    return _result("AC7", t0, ok, bad[0] if bad else "all secrecy coordinates exactly 0")
+    return bad[:1], "all secrecy coordinates exactly 0"
 
-
-# ---------------------------------------------------------------- AC8
 
 def _benchmark_setup() -> tuple[channel.DiscreteCRC, prob.JointPmf]:
     """Noiseless parallel links with U = X1, V degenerate, uniform inputs."""
@@ -306,8 +264,7 @@ def brute_force_equivocation(cb: binning.Codebook, ch: channel.DiscreteCRC, obse
     return h
 
 
-def ac8_binning() -> CriterionResult:
-    t0 = time.perf_counter()
+def binning_scheme() -> tuple[list[str], str]:
     fails: list[str] = []
     # (i) a pure-noise eavesdropper learns nothing, exactly.
     noise_ch, aux = pure_noise_channel(), _benchmark_setup()[1]
@@ -330,7 +287,7 @@ def ac8_binning() -> CriterionResult:
     )
     # (iii) every rate constraint flips at its boundary (delta = 0.01).
     fails.extend(_boundary_failures(delta=0.01))
-    return _result("AC8", t0, not fails, "; ".join(fails) or "simulator checks pass")
+    return fails, "simulator checks pass"
 
 
 def _boundary_failures(delta: float) -> list[str]:
@@ -399,8 +356,6 @@ def _boundary_failures(delta: float) -> list[str]:
     return fails
 
 
-# ---------------------------------------------------------------- AC9
-
 def brute_force_frontier(
     points: list[region.RatePoint], dims: tuple[str, ...]
 ) -> set[tuple[float, ...]]:
@@ -435,8 +390,7 @@ def lp_hull_contains(points: np.ndarray, p: np.ndarray) -> bool:
     return {0: True, 2: False}[res.status]  # 2: infeasible; any other status is an LP failure
 
 
-def ac9_geometry_oracles() -> CriterionResult:
-    t0 = time.perf_counter()
+def geometry_oracles() -> tuple[list[str], str]:
     fails: list[str] = []
     rng = np.random.default_rng(9)
     for dims in (("r1", "r2"), ("r1", "r2", "re1"), ("r1", "r2", "re1", "re2")):
@@ -466,13 +420,10 @@ def ac9_geometry_oracles() -> CriterionResult:
                 by_support, by_lp = bool((grid @ p <= h + 1e-12).all()), lp_hull_contains(coords, p)
                 _check(fails, by_support == by_lp == want_in,
                        f"hull membership of {p.round(4)}: support {by_support}, LP {by_lp}")
-    return _result("AC9", t0, not fails, "; ".join(fails[:3]) or "oracles agree")
+    return fails[:3], "oracles agree"
 
 
-# ---------------------------------------------------------------- AC10
-
-def ac10_reductions() -> CriterionResult:
-    t0 = time.perf_counter()
+def reductions() -> tuple[list[str], str]:
     fails: list[str] = []
     cases = [
         (channel.xor_channel(), bounds.BoundKind.LESSNOISY),
@@ -490,36 +441,48 @@ def ac10_reductions() -> CriterionResult:
             abs(x - y) <= 1e-9 for pa, pb in zip(a, b) for x, y in zip(pa, pb)
         )
         _check(fails, same, f"{ch.name}/{kind.value}: projected frontier differs")
-    return _result("AC10", t0, not fails, "; ".join(fails) or "reductions match projections")
+    return fails, "reductions match projections"
 
 
-SUITES: dict[str, tuple[Callable[[], CriterionResult], ...]] = {
-    "psi": (ac1_psi_units,),
-    "figure2": (ac2_figure_dataset,),
-    "gaussian": (ac1_psi_units, ac2_figure_dataset, ac3_gaussian_consistency),
-    "mi": (ac4_mi_oracle,),
-    "orthogonal": (ac5_orthogonal_corner,),
-    "semidet-coincidence": (ac6_semidet_coincidence,),
-    "secrecy-vanishing": (ac7_secrecy_vanishes,),
-    "binning": (ac8_binning,),
-    "geometry": (ac9_geometry_oracles,),
-    "reductions": (ac10_reductions,),
+# The acceptance criteria in order, id -> check. A check takes no argument
+# and returns its failures and its detail on success.
+CRITERIA: dict[str, Callable[[], tuple[list[str], str]]] = {
+    "AC1": psi_units,  # capacity-function unit values
+    "AC2": figure_dataset_properties,  # reference four-curve dataset
+    "AC3": gaussian_consistency,  # families, closed forms, classification
+    "AC4": mi_oracle,  # mutual information vs. the direct sum
+    "AC5": orthogonal_corner,  # noiseless-links corner, outer caps
+    "AC6": semidet_coincidence,  # outer = semi-deterministic on identical outputs
+    "AC7": secrecy_vanishes,  # zero secrecy on identical outputs
+    "AC8": binning_scheme,  # simulator equivocation, errors, rate validation
+    "AC9": geometry_oracles,  # frontier, support function, hull vs. an LP
+    "AC10": reductions,  # no-secrecy reductions = projected frontiers
 }
 
-# AC1 ... AC10 in order, each once
-ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = tuple(
-    dict.fromkeys(check for checks in SUITES.values() for check in checks)
-)
+SUITES: dict[str, tuple[str, ...]] = {
+    "psi": ("AC1",),
+    "figure2": ("AC2",),
+    "gaussian": ("AC1", "AC2", "AC3"),
+    "mi": ("AC4",),
+    "orthogonal": ("AC5",),
+    "semidet-coincidence": ("AC6",),
+    "secrecy-vanishing": ("AC7",),
+    "binning": ("AC8",),
+    "geometry": ("AC9",),
+    "reductions": ("AC10",),
+}
+
+
+def run_criterion(cid: str) -> CriterionResult:
+    """Run the criterion ``cid`` of the table and time it."""
+    t0 = time.perf_counter()
+    failures, detail = CRITERIA[cid]()
+    return CriterionResult(cid, not failures, "; ".join(failures) or detail, time.perf_counter() - t0)
 
 
 def run_suite(name: str) -> list[CriterionResult]:
-    if name == "all":
-        checks = ALL_CRITERIA
-    else:
-        try:
-            checks = SUITES[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown suite {name!r}; choose from {sorted(SUITES) + ['all']}"
-            ) from None
-    return [fn() for fn in checks]
+    """The results of the suite's criteria in order; ``all`` runs the whole table."""
+    ids = tuple(CRITERIA) if name == "all" else SUITES.get(name)
+    if ids is None:
+        raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES) + ['all']}")
+    return [run_criterion(cid) for cid in ids]

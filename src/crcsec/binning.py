@@ -516,6 +516,8 @@ def run_trials(
     """
     if trials < 1:
         raise SimError("trials must be >= 1")
+    if seed < 0:
+        raise SimError(f"seed must be >= 0, got {seed}")
     if codebooks < 1 or codebooks > trials:
         raise SimError("codebooks must be in [1, trials]")
     books = [build_codebook(ch, aux, rates, _derived_seed(seed, 1_000_000 + k)) for k in range(codebooks)]
@@ -604,37 +606,34 @@ class SimConfig:
     seed: int
     codebooks: int = 1
     exact_budget: int = DEFAULT_EXACT_BUDGET
-    # the config as written, with the channel path made absolute, so that a
+    # the config as read, with the channel path made absolute, so that a
     # run recorded from it replays from any directory
     document: dict[str, Any] = field(default_factory=dict, repr=False, compare=False)
+
+
+# the config keys of a simulation beside "channel" and "aux"
+SIM_INTS = ("n", "trials", "seed", "codebooks", "exact_budget")
+SIM_FLOATS = ("r1", "r21", "r22", "eps")
 
 
 def load_sim_config(path: str | Path) -> SimConfig:
     """Parse a simulation config file, or the ``config`` entry of a
     ``simulate`` manifest, as :func:`channel.read_config` reads it (the
-    channel path relative to the file; ChannelError when the file holds no
-    JSON object)."""
-    obj = read_config(path)
+    channel path relative to the file, the numbers read strictly, no key
+    but ``channel``, ``aux`` and those of SIM_INTS and SIM_FLOATS); SimError
+    on any malformed entry."""
+    try:
+        obj = read_config(path, ("channel", "aux", *SIM_INTS, *SIM_FLOATS), SIM_INTS, SIM_FLOATS)
+    except ChannelError as exc:  # its message names the file
+        raise SimError(str(exc)) from exc
     try:
         channel = load_channel(obj["channel"])
         aux = JointPmf.from_jsonable(obj["aux"])
         if aux.has_axes(["W"]):
             # a W layer in the config is folded into the X2 alphabet
             channel, aux = merge_w_into_x2(channel, aux)
-        return SimConfig(
-            channel,
-            aux,
-            n=int(obj["n"]),
-            r1=float(obj["r1"]),
-            r21=float(obj["r21"]),
-            r22=float(obj["r22"]),
-            eps=float(obj["eps"]),
-            trials=int(obj["trials"]),
-            seed=int(obj["seed"]),
-            codebooks=int(obj.get("codebooks", 1)),
-            exact_budget=int(obj.get("exact_budget", DEFAULT_EXACT_BUDGET)),
-            document=obj,
-        )
+        numbers = {k: obj[k] for k in SIM_INTS + SIM_FLOATS if k in obj}
+        return SimConfig(channel, aux, **numbers, document=obj)
     except (KeyError, TypeError, ValueError, ChannelError) as exc:
         if isinstance(exc, SimError):
             raise

@@ -333,6 +333,8 @@ def search_region(
     bound = parse_bound(bound) if isinstance(bound, str) else bound
     if samples < 0:
         raise BoundsError("samples must be >= 0")
+    if seed < 0:
+        raise BoundsError(f"seed must be >= 0, got {seed}")
     spec = BOUNDS[bound]
     resolved = (cards or SearchCards()).resolved(ch)
     axes = [(n, resolved[n]) for n in spec.aux_axes] + [("X1", ch.cards[0]), ("X2", ch.cards[1])]
@@ -471,6 +473,8 @@ def check_condition(
     cond = parse_condition(cond) if isinstance(cond, str) else cond
     if samples < 0:
         raise BoundsError("samples must be >= 0")
+    if seed < 0:
+        raise BoundsError(f"seed must be >= 0, got {seed}")
     cx1, cx2, _, _ = ch.cards
     axes = [(n, cx1 * cx2) for n in CONDITIONS[cond].aux_axes] + [("X1", cx1), ("X2", cx2)]
     names = tuple(n for n, _ in axes)

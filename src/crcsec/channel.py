@@ -19,9 +19,10 @@ and an optional "name". Indices are 0-based. Rows P(.,.|x1,x2) must sum to
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -162,9 +163,13 @@ def load_channel(path: str | Path) -> DiscreteCRC:
     return DiscreteCRC(flat.reshape(cards), name=str(obj.get("name", "")))
 
 
-def read_config(path: str | Path) -> dict:
+def read_config(
+    path: str | Path, keys: Collection[str], ints: Collection[str] = (), floats: Collection[str] = ()
+) -> dict:
     """The JSON object of a config file, or the ``config`` entry of a manifest,
-    with a string ``channel`` entry made absolute against the file's directory."""
+    with a string ``channel`` entry made absolute against the file's directory.
+    Every entry must be one of ``keys``; those named in ``ints`` and ``floats``
+    are read by :func:`read_number`. ChannelError naming the file otherwise."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -173,9 +178,29 @@ def read_config(path: str | Path) -> dict:
     obj = obj.get("config", obj) if isinstance(obj, dict) else obj
     if not isinstance(obj, dict):
         raise ChannelError(f"config file {path} must hold a JSON object")
+    unknown = [k for k in obj if k not in keys]
+    if unknown:
+        raise ChannelError(f"config file {path}: unknown keys {', '.join(unknown)}")
+    for key, kind in [(k, int) for k in ints] + [(k, float) for k in floats]:
+        if key in obj:
+            obj[key] = read_number(obj[key], kind, f"config file {path}: {key}")
     if isinstance(obj.get("channel"), str):
         obj["channel"] = str((path.parent / obj["channel"]).resolve())
     return obj
+
+
+def read_number(value: Any, kind: type, name: str) -> Any:
+    """``value`` as a ``float`` (a number or a numeric string) or as an ``int``
+    (an int, an integral number such as 1e4, or an integer string), never from a
+    boolean; ChannelError naming ``name`` otherwise."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    try:
+        if isinstance(value, bool) or fractional:
+            raise ValueError
+        return kind(value)
+    except (TypeError, ValueError):
+        what = "an integer" if kind is int else "a number"
+        raise ChannelError(f"{name} must be {what}, got {value!r}") from None
 
 
 def write_channel(ch: DiscreteCRC, path: str | Path) -> None:

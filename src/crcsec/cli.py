@@ -2,15 +2,15 @@
 
 Commands: gauss, figure2, discrete, check, simulate, verify. Each flag of
 gauss, figure2, discrete and check is a config key; ``--config`` names a
-JSON config or manifest (:func:`crcsec.channel.read_config`), whose
-entries explicit flags override. gauss, figure2, discrete and simulate,
-and check when given an ``out``, write a ``manifest.json`` next to their
-outputs recording the resolved configuration, the master seed and the
-tool version; re-running such a command from its manifest (``--config
-manifest.json``) reproduces the outputs byte-identically. check without
-``out`` writes nothing, and verify writes only the JSON summary named by
-its ``--out``. Numeric output uses 9 decimal digits, period decimal
-separator.
+JSON config or manifest (:func:`crcsec.channel.read_config`) that holds no
+other key, whose entries explicit flags override. gauss, figure2, discrete
+and simulate, and check when given an ``out``, write a ``manifest.json``
+next to their outputs recording the resolved configuration, the master
+seed and the tool version; re-running such a command from its manifest
+(``--config manifest.json``) reproduces the outputs byte-identically.
+check without ``out`` writes nothing, and verify writes only the JSON
+summary named by its ``--out``. Numeric output uses 9 decimal digits,
+period decimal separator.
 
 Exit codes: 0 success / condition holds, 1 a verify criterion failed,
 2 I/O or configuration error, 3 condition violated, 4 scheme-rate
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, accept, binning, bounds, gaussian, region
-from .channel import GaussianCRC, load_channel, read_config
+from .channel import GaussianCRC, load_channel, read_config, read_number
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -47,12 +47,14 @@ class CliError(Exception):
         self.code = code
 
 
-def _config(args: argparse.Namespace, optional: Sequence[str] = ()) -> dict[str, Any]:
+def _config(args: argparse.Namespace, optional: Sequence[str] = (), ints: Sequence[str] = (),
+            floats: Sequence[str] = ()) -> dict[str, Any]:
     """The command's configuration: the entries of its ``--config`` document
-    (:func:`read_config`), overridden by its explicit flags. Every flag
-    except ``config`` names a key, required unless ``optional``."""
+    (:func:`read_config`, the numbers of ``ints`` and ``floats`` read
+    strictly), overridden by its explicit flags. Every flag except ``config``
+    names a key, required unless ``optional``, and the document holds no other."""
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
-    cfg = read_config(args.config) if args.config else {}
+    cfg = read_config(args.config, flags, ints, floats) if args.config else {}
     cfg.update({k: v for k, v in flags.items() if v is not None})
     missing = [k for k in flags if k not in cfg and k not in optional]
     if missing:
@@ -86,10 +88,10 @@ def _sweep_rows(points: list[region.RatePoint], dims: tuple[str, ...]) -> list[s
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    cfg = _config(args, ints=["steps"], floats=["a", "b", "p1", "p2"])
     mode = gaussian.parse_mode(str(cfg["mode"]))
-    g = GaussianCRC(a=float(cfg["a"]), b=float(cfg["b"]), p1=float(cfg["p1"]), p2=float(cfg["p2"]))
-    points = gaussian.sweep_points(g, mode, int(cfg["steps"]))
+    g = GaussianCRC(a=cfg["a"], b=cfg["b"], p1=cfg["p1"], p2=cfg["p2"])
+    points = gaussian.sweep_points(g, mode, cfg["steps"])
     dims = gaussian.FAMILIES[mode].dims
     rows = _sweep_rows(points, dims)
     reg = region.pareto_filter(points, dims)
@@ -114,25 +116,28 @@ def cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def cmd_discrete(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    cfg = _config(args, ints=["samples", "seed"])
     kind = bounds.parse_bound(str(cfg["bound"]))
     ch = load_channel(cfg["channel"])
     cards_raw = cfg["cards"]
     if isinstance(cards_raw, str):
-        cards_raw = [int(v) for v in cards_raw.split(",")]
-    cards = bounds.SearchCards(*[int(v) for v in cards_raw])
-    reg = bounds.search_region(ch, kind, cards=cards, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
+        cards_raw = cards_raw.split(",")
+    cards_raw = [read_number(v, int, "cards") for v in cards_raw]
+    if len(cards_raw) > 4:
+        raise CliError(f"cards take at most four values (Q,W,V,U), got {len(cards_raw)}")
+    cards = bounds.SearchCards(*cards_raw)
+    reg = bounds.search_region(ch, kind, cards=cards, samples=cfg["samples"], seed=cfg["seed"])
     outdir = _outdir(cfg["out"])
     region.export_csv(reg, outdir / "frontier.csv", sidecar=outdir / "frontier_meta.json")
-    cfg.update(bound=kind.value, channel=str(Path(cfg["channel"]).resolve()), cards=list(cards_raw))
+    cfg.update(bound=kind.value, channel=str(Path(cfg["channel"]).resolve()), cards=cards_raw)
     return _record(args, outdir, cfg, ["frontier.csv", "frontier_meta.json"], {"frontier": len(reg)})
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    cfg = _config(args, optional=["out"])
+    cfg = _config(args, optional=["out"], ints=["samples", "seed"])
     cond = bounds.parse_condition(str(cfg["condition"]))
     ch = load_channel(cfg["channel"])
-    report = bounds.check_condition(ch, cond, samples=int(cfg["samples"]), seed=int(cfg["seed"]))
+    report = bounds.check_condition(ch, cond, samples=cfg["samples"], seed=cfg["seed"])
     payload = report.to_jsonable()
     outdir = _outdir(cfg["out"]) if "out" in cfg else None
     if outdir is not None:

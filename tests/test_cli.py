@@ -236,6 +236,66 @@ def test_check_takes_out_from_its_config(tmp_path, capsys):
     assert manifest["config"]["out"] == str(out)
 
 
+def _config_file(tmp_path, command, **entries):
+    """A working config of ``command`` beside orth.json, with ``entries`` set."""
+    ch, aux = _benchmark_setup()
+    write_channel(ch, tmp_path / "orth.json")
+    config = {
+        "gauss": {"mode": "weak", "a": 1, "b": 0.5, "p1": 20, "p2": 20, "steps": 10},
+        "discrete": {"channel": "orth.json", "bound": "inner", "cards": "1,1,1,2", "samples": 20, "seed": 7},
+        "check": {"channel": "orth.json", "condition": "semidet11", "samples": 20, "seed": 0},
+        "simulate": dict(SIM_CONFIG, aux=aux.to_jsonable()),
+    }[command]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(dict(config, **entries)))
+    return path
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [("gauss", "steps", 2.5), ("gauss", "a", True), ("discrete", "samples", True),
+     ("check", "seed", 1.9), ("simulate", "n", 8.7), ("simulate", "trials", True)],
+)
+def test_config_numbers_are_not_truncated(tmp_path, capsys, command, key, value):
+    path = _config_file(tmp_path, command, **{key: value})
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: {key} must be" in err, err
+
+
+@pytest.mark.parametrize(
+    "command, key, value", [("gauss", "steps", 1e1), ("gauss", "steps", "10"), ("simulate", "trials", 2e1)]
+)
+def test_config_integers_may_be_integral_numbers_or_strings(tmp_path, command, key, value):
+    path = _config_file(tmp_path, command, **{key: value})
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["config"][key] == int(float(value))
+
+
+@pytest.mark.parametrize("command, key", [("gauss", "step"), ("check", "conditions"), ("simulate", "codebook")])
+def test_unknown_config_key_exits_2(tmp_path, capsys, command, key):
+    path = _config_file(tmp_path, command, **{key: 4})
+    assert run([command, "--config", path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == f"error: config file {path}: unknown keys {key}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["discrete", "check", "simulate"])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
+    path = _config_file(tmp_path, command, seed=-1)
+    seed_flag = [] if command == "simulate" else ["--seed", -3]
+    assert run([command, "--config", path, *seed_flag, "--out", tmp_path / "out"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+
+
+def test_discrete_cards_take_at_most_four_values(tmp_path, capsys):
+    write_channel(orthogonal_channel(), tmp_path / "orth.json")
+    assert run(["discrete", "--bound", "inner", "--channel", tmp_path / "orth.json", "--cards", "1,2,5,5,5",
+                "--samples", 2, "--seed", 0, "--out", tmp_path / "d"]) == 2
+    assert "cards take at most four values" in capsys.readouterr().err
+
+
 def test_bench_probe_loads_channel_and_sim_config(tmp_path):
     # bench/probe.py times set-up by importing load_channel and load_sim_config
     ch, aux = _benchmark_setup()

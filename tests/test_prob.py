@@ -1,5 +1,5 @@
 import math
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcsec import bounds
+from crcsec.accept import mi_direct_sum
 from crcsec.prob import (
     Informations,
     JointPmf,
@@ -84,35 +85,11 @@ def test_cmi_chain_rule_on_random_joints():
         assert mi <= min(entropy(p, "A"), entropy(p, "B")) + 1e-12
 
 
-def cmi_direct_sum(p, a, b, c):
-    # literal double-sum definition, kept independent of the library path
-    pa, pb, pc = (p.axis_index(v) for v in (a, b, c))
-    pabc = p.probs
-    total = 0.0
-    for idx in product(*[range(s) for s in p.cards]):
-        v = pabc[idx]
-        if v <= 0:
-            continue
-        p_c = sum(pabc[j] for j in product(*[range(s) for s in p.cards]) if j[pc] == idx[pc])
-        p_ac = sum(
-            pabc[j]
-            for j in product(*[range(s) for s in p.cards])
-            if j[pa] == idx[pa] and j[pc] == idx[pc]
-        )
-        p_bc = sum(
-            pabc[j]
-            for j in product(*[range(s) for s in p.cards])
-            if j[pb] == idx[pb] and j[pc] == idx[pc]
-        )
-        total += v * math.log2(v * p_c / (p_ac * p_bc))
-    return total
-
-
 def test_cmi_matches_direct_sum_oracle():
     for seed in range(200):
         p = sample_joint([("A", 2), ("B", 2), ("C", 2)], seed=seed)
         got = conditional_mutual_information(p, "A", "B", "C")
-        assert abs(got - cmi_direct_sum(p, "A", "B", "C")) < 1e-12
+        assert abs(got - mi_direct_sum(p, "A", "B", "C")) < 1e-12
 
 
 def test_marginalize_identity_and_product():
