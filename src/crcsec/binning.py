@@ -51,7 +51,9 @@ from typing import Any
 import numpy as np
 
 from .channel import ChannelError, DiscreteCRC, induce_joint, load_channel, read_config
-from .prob import Informations, JointPmf, _entropy_of, marginalize, positive_part, relabel, typical_mask
+from .prob import (
+    Informations, JointPmf, ProbError, _entropy_of, marginalize, positive_part, relabel, typical_mask
+)
 
 CONSTRAINT_TOL = 1e-9
 DEFAULT_EXACT_BUDGET = 1 << 16
@@ -195,20 +197,23 @@ def derive_scheme_rates(
     return rates
 
 
-def _count(n: int, rate: float) -> int:
-    return max(1, round(2.0 ** (n * max(rate, 0.0))))
+def _count(name: str, bits: float) -> int:
+    if bits > np.log2(MAX_SEQUENCES) + 1:  # over the codebook budget alone; 2.0 ** bits may overflow
+        raise BudgetError(f"{name} needs 2^{bits:g} codewords, over the budget of {MAX_SEQUENCES}")
+    return max(1, round(2.0 ** bits))
 
 
 def scheme_counts(rates: SchemeRates) -> dict[str, int]:
-    """Codeword counts (rounded; material at desk scale, hence reported)."""
-    n = rates.n
-    return {
-        "n_m1": _count(n, rates.r1),
-        "n_l1": _count(n, rates.l1 + rates.l1b - rates.r1),
-        "n_m21": _count(n, rates.r21),
-        "n_l21": _count(n, rates.l21 + rates.l21b - rates.r21),
-        "n_m22": _count(n, rates.r22),
+    """Codeword counts (rounded; material at desk scale, hence reported);
+    BudgetError naming a count that alone is over twice ``MAX_SEQUENCES``."""
+    rate_of = {
+        "n_m1": rates.r1,
+        "n_l1": rates.l1 + rates.l1b - rates.r1,
+        "n_m21": rates.r21,
+        "n_l21": rates.l21 + rates.l21b - rates.r21,
+        "n_m22": rates.r22,
     }
+    return {name: _count(name, rates.n * max(rate, 0.0)) for name, rate in rate_of.items()}
 
 
 def _conditional(joint: JointPmf, given: tuple[str, ...], target: str) -> np.ndarray:
@@ -624,7 +629,7 @@ def load_sim_config(path: str | Path) -> SimConfig:
     on any malformed entry."""
     try:
         obj = read_config(path, ("channel", "aux", *SIM_INTS, *SIM_FLOATS), SIM_INTS, SIM_FLOATS)
-    except ChannelError as exc:  # its message names the file
+    except (ChannelError, ProbError) as exc:  # its message names the file
         raise SimError(str(exc)) from exc
     try:
         channel = load_channel(obj["channel"])

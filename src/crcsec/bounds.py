@@ -409,7 +409,9 @@ class ConditionReport:
     ``max_gap`` is the largest violation found over all evaluated joints
     (LHS - RHS of the ordering); a value above ``tol`` certifies violation
     with ``witness`` as the certificate. A non-positive ``max_gap`` only
-    means no violation was found at this sampling effort.
+    means no violation was found at this sampling effort. ``samples`` counts
+    every joint evaluated, the deterministic-map candidates included: 662 for
+    ``lessnoisy46`` on 2x2 inputs at 150 draws (2 x 256 maps plus the draws).
     """
 
     condition: Condition

@@ -11,22 +11,23 @@ symbolically as (a, b, P1, P2) because every Gaussian result used here is
 closed-form.
 
 Channel file format (JSON): integer fields "x1", "x2", "y1", "y2" giving
-cardinalities, "kernel" a flat row-major array indexed (x1, x2, y1, y2),
-and an optional "name". Indices are 0-based. Rows P(.,.|x1,x2) must sum to
-1 within 1e-9 and are renormalized exactly on load.
+cardinalities (read by :func:`crcsec.prob.read_number`), "kernel" a flat
+row-major array indexed (x1, x2, y1, y2), and an optional "name". Indices
+are 0-based. Rows P(.,.|x1,x2) must sum to 1 within 1e-9 and are
+renormalized exactly on load.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from .prob import JointPmf
+from .prob import JointPmf, read_number
 
 ROW_SUM_TOL = 1e-9
 
@@ -151,11 +152,11 @@ def load_channel(path: str | Path) -> DiscreteCRC:
     except (OSError, json.JSONDecodeError) as exc:
         raise ChannelError(f"cannot parse channel file {path}: {exc}") from exc
     try:
-        cards = tuple(int(obj[k]) for k in ("x1", "x2", "y1", "y2"))
+        cards = tuple(read_number(obj[k], int, k) for k in ("x1", "x2", "y1", "y2"))
         flat = np.asarray(obj["kernel"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ChannelError(f"malformed channel file {path}: {exc}") from exc
-    expected = int(np.prod(cards))
+    expected = math.prod(cards)  # exact: an int64 product of large cards wraps
     if flat.size != expected:
         raise ChannelError(
             f"kernel length {flat.size} does not match cardinalities {cards} ({expected})"
@@ -169,7 +170,8 @@ def read_config(
     """The JSON object of a config file, or the ``config`` entry of a manifest,
     with a string ``channel`` entry made absolute against the file's directory.
     Every entry must be one of ``keys``; those named in ``ints`` and ``floats``
-    are read by :func:`read_number`. ChannelError naming the file otherwise."""
+    are read by :func:`read_number`. ChannelError naming the file otherwise
+    (ProbError for a number)."""
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
@@ -187,20 +189,6 @@ def read_config(
     if isinstance(obj.get("channel"), str):
         obj["channel"] = str((path.parent / obj["channel"]).resolve())
     return obj
-
-
-def read_number(value: Any, kind: type, name: str) -> Any:
-    """``value`` as a ``float`` (a number or a numeric string) or as an ``int``
-    (an int, an integral number such as 1e4, or an integer string), never from a
-    boolean; ChannelError naming ``name`` otherwise."""
-    fractional = kind is int and isinstance(value, float) and not value.is_integer()
-    try:
-        if isinstance(value, bool) or fractional:
-            raise ValueError
-        return kind(value)
-    except (TypeError, ValueError):
-        what = "an integer" if kind is int else "a number"
-        raise ChannelError(f"{name} must be {what}, got {value!r}") from None
 
 
 def write_channel(ch: DiscreteCRC, path: str | Path) -> None:

@@ -26,7 +26,8 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__, accept, binning, bounds, gaussian, region
-from .channel import GaussianCRC, load_channel, read_config, read_number
+from .channel import GaussianCRC, load_channel, read_config
+from .prob import read_number
 
 EXIT_OK = 0
 EXIT_FAIL = 1

@@ -7,9 +7,10 @@ binning-code simulator) is built on the small toolkit in this module:
 - Shannon quantities in bits (base-2 logs, ``0*log 0 = 0``), one-shot
   (:func:`entropy`) or memoized over a stack of S joints of one shape by
   :class:`Informations`, which sums each marginal of its axis-last stack
-  in numpy's own order, so its length-S arrays equal the one-shot values
-  bit for bit (a numpy that changes that order fails the parity test, not
-  the outputs silently); one joint is the S = 1 stack.
+  in numpy's own order and the entropy terms of the rows with k nonzero
+  cells as one contiguous block per count k, so its length-S arrays equal
+  the one-shot values bit for bit (a numpy that changes that order fails
+  the parity test, not the outputs silently); one joint is the S = 1 stack.
 - :func:`relabel`, one ``bincount`` that moves each cell of a stack of joints
   to the cell that deterministic maps of its coordinates name.
 - Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Mapping, Sequence
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -42,6 +44,7 @@ __all__ = [
     "mutual_information",
     "marginalize",
     "positive_part",
+    "read_number",
     "relabel",
     "sample_joint",
     "typical_mask",
@@ -68,6 +71,17 @@ def positive_part(x: float) -> float:
     if not np.isfinite(x):
         raise ProbError(f"positive_part requires finite input, got {x!r}")
     return x if x > 0.0 else 0.0
+
+
+def read_number(value: Any, kind: type, name: str) -> Any:
+    """``value`` as a ``float`` (a number or a numeric string) or as an ``int``
+    (an int, an integral number such as 1e4, or an integer string), never from a
+    boolean; ProbError naming ``name`` otherwise."""
+    fractional = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fractional:
+        with suppress(TypeError, ValueError):
+            return kind(value)
+    raise ProbError(f"{name} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -129,7 +143,7 @@ class JointPmf:
 
     @staticmethod
     def from_jsonable(obj: Mapping[str, Any]) -> "JointPmf":
-        axes = [(str(n), int(c)) for n, c in obj["axes"]]
+        axes = [(str(n), read_number(c, int, f"card of {n}")) for n, c in obj["axes"]]
         shape = tuple(c for _, c in axes)
         probs = np.asarray(obj["probs"], dtype=float).reshape(shape)
         return JointPmf(tuple(n for n, _ in axes), probs)
@@ -141,21 +155,20 @@ def _as_name_set(vars_: str | Iterable[str]) -> tuple[str, ...]:
     return tuple(vars_)
 
 
-def _sum_onto(axes: tuple[str, ...], probs: np.ndarray, keep: str | Iterable[str]):
-    """Kept axes and ``probs`` (over ``axes``) summed onto ``keep``."""
-    keep_set = set(_as_name_set(keep))
-    unknown = keep_set - set(axes)
-    if unknown:
-        raise ProbError(f"unknown variable {sorted(unknown)[0]!r}; axes are {axes}")
-    if not keep_set:
+def _dropped(axes: tuple[str, ...], keep: str | Iterable[str]) -> tuple[int, ...]:
+    """Indices of the ``axes`` outside ``keep``, a nonempty set of them."""
+    keep = set(_as_name_set(keep))
+    if not keep <= set(axes):
+        raise ProbError(f"unknown variable {sorted(keep - set(axes))[0]!r}; axes are {axes}")
+    if not keep:
         raise ProbError("must keep at least one variable")
-    drop = tuple(i for i, a in enumerate(axes) if a not in keep_set)
-    return tuple(a for a in axes if a in keep_set), probs.sum(axis=drop) if drop else probs
+    return tuple(i for i, a in enumerate(axes) if a not in keep)
 
 
 def marginalize(p: JointPmf, keep: str | Iterable[str]) -> JointPmf:
     """Marginal of ``p`` onto the ``keep`` variables (original axis order)."""
-    return JointPmf(*_sum_onto(p.axes, p.probs, keep))
+    drop = _dropped(p.axes, keep)
+    return JointPmf(tuple(a for i, a in enumerate(p.axes) if i not in drop), p.probs.sum(axis=drop))
 
 
 def relabel(
@@ -195,16 +208,15 @@ def _entropy_of(pmf_tensor: np.ndarray) -> float:
 
 
 def _row_entropies(flat: np.ndarray) -> np.ndarray:
-    """:func:`_entropy_of` of every row of a 2-D array, bit for bit: rows sharing a
-    support form one C-contiguous ``(rows, nnz)`` block, whose ``sum(axis=1)``
-    adds each row in the 1-D sum's order (a strided block would not)."""
+    """:func:`_entropy_of` of every row of a 2-D array of any strides, bit for bit:
+    the rows with k nonzero cells gather them in order into one C-contiguous
+    ``(rows, k)`` block, whose ``sum(axis=1)`` adds each row as the 1-D sum does."""
     out = np.empty(len(flat))
     support = flat > 0.0
-    groups: dict[bytes, list[int]] = {}
-    for r, key in enumerate(np.packbits(support, axis=1)):
-        groups.setdefault(key.tobytes(), []).append(r)
-    for rows in groups.values():
-        block = np.ascontiguousarray(flat[rows][:, support[rows[0]]])
+    nnz = support.sum(axis=1)
+    for k in set(nnz.tolist()):
+        rows = nnz == k
+        block = flat[support & rows[:, None]].reshape(np.count_nonzero(rows), k)
         out[rows] = -(block * np.log2(block)).sum(axis=1)
     return out
 
@@ -256,10 +268,7 @@ def _stacked_sum(last: np.ndarray, drop: tuple[int, ...]) -> np.ndarray:
 
 def entropy(p: JointPmf, vars_: str | Iterable[str]) -> float:
     """Joint Shannon entropy H(vars) in bits (the marginal is not re-validated)."""
-    names = _as_name_set(vars_)
-    if not names:
-        raise ProbError("entropy requires a nonempty variable set")
-    return _entropy_of(_sum_onto(p.axes, p.probs, names)[1])
+    return _entropy_of(p.probs.sum(axis=_dropped(p.axes, vars_)))
 
 
 class Informations:
@@ -268,10 +277,10 @@ class Informations:
     ``Informations(axes, stack)`` holds S joints over ``axes``, given as one
     ``(S, *cards)`` array, ``Informations(p)`` the S = 1 stack of ``p``;
     :meth:`h` and :meth:`i` return length-S arrays. The stack is copied once
-    with the stack axis last (``self.stack`` is an ``(S, *cards)`` view), and
-    each entropy is summed once per variable set from the full tensors (never
-    from a cached smaller marginal) in numpy's summation order of one row,
-    by :func:`_stacked_sum` at any stack height. So each row equals a
+    with the stack axis last, and each entropy is summed once per variable
+    set from the full tensors (never from a cached smaller marginal) in
+    numpy's summation order of one row, by :func:`_stacked_sum` at any stack
+    height, then taken by :func:`_row_entropies`. So each row equals a
     one-shot :func:`entropy` of that row bit for bit, whatever the query
     order and the other rows.
     """
@@ -280,22 +289,18 @@ class Informations:
         if stack is None:
             p, stack = p.axes, p.probs[None]
         self.axes, self._last = tuple(p), np.ascontiguousarray(np.moveaxis(stack, 0, -1))
-        self.stack = np.moveaxis(self._last, -1, 0)
         self._entropies: dict[frozenset[str], np.ndarray] = {}
 
     def h(self, vars_: str | Iterable[str]) -> np.ndarray:
         """H(vars) per row; the empty set has entropy 0."""
         names = _as_name_set(vars_)
         if not names:
-            return np.zeros(len(self.stack))
+            return np.zeros(self._last.shape[-1])
         key = frozenset(names)
         value = self._entropies.get(key)
         if value is None:
-            if not key <= set(self.axes):
-                raise ProbError(f"unknown variable {sorted(key - set(self.axes))[0]!r}; axes are {self.axes}")
-            drop = tuple(i for i, a in enumerate(self.axes) if a not in key)
-            marginal = _stacked_sum(self._last, drop).reshape(-1, len(self.stack))
-            value = _row_entropies(np.ascontiguousarray(marginal.T))
+            marginal = _stacked_sum(self._last, _dropped(self.axes, key)).reshape(-1, self._last.shape[-1])
+            value = _row_entropies(marginal.T)
             value.flags.writeable = False
             self._entropies[key] = value
         return value

@@ -8,6 +8,8 @@ Tier-1 does not collect this file: its name does not match ``test_*.py``,
 and pytest runs it only when given its path. The stack is one of the AC6
 search's: the outer bound on ``xor_channel()`` at the default search
 cardinalities (W 2, V 5, U 5), 40 candidates of 800 extended-joint floats.
+The row-entropy kernel runs on the marginals of that bound's structured
+candidates, whose rows have mixed supports.
 """
 
 import numpy as np
@@ -45,6 +47,23 @@ def test_one_marginal(benchmark, stack, keep, how):
         benchmark(prob._stacked_sum, last, drop)
     else:
         benchmark(stack.sum, axis=tuple(d + 1 for d in drop))
+
+
+@pytest.fixture(scope="module")
+def marginals():
+    """The ``(S, cells)`` marginal of every entropy the outer bound reads from
+    its structured candidates on xor, as the memo passes it to the kernel."""
+    seen, kernel = [], prob._row_entropies
+    structured = bounds.structured_candidates(CH, list(zip(AXES, CARDS)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prob, "_row_entropies", lambda flat: seen.append(flat) or kernel(flat))
+        bounds._outer_caps(prob.Informations(NAMES, push_through(CH, AXES, structured)))
+    return seen
+
+
+def test_row_entropies(benchmark, marginals):
+    """Every row entropy of the outer caps of the structured candidates."""
+    benchmark(lambda: [prob._row_entropies(flat) for flat in marginals])
 
 
 def test_bound_point_inner(benchmark):

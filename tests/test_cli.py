@@ -289,6 +289,43 @@ def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
     assert "seed must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("card, kernel_len", [(2.9, 16), (True, 8)])
+def test_channel_file_cards_are_not_truncated(tmp_path, capsys, card, kernel_len):
+    write_channel(orthogonal_channel(), tmp_path / "orth.json")
+    doc = json.loads((tmp_path / "orth.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(doc, x1=card, kernel=doc["kernel"][:kernel_len])))
+    assert run(["check", "--channel", path, "--condition", "semidet11", "--samples", 2, "--seed", 0]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: x1 must be an integer" in err, err
+
+
+def test_channel_file_length_check_takes_the_exact_product(tmp_path, capsys):
+    write_channel(orthogonal_channel(), tmp_path / "orth.json")
+    doc = json.loads((tmp_path / "orth.json").read_text())
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(dict(doc, x1=2**62 + 1, x2=4)))  # 16 cells modulo 2**64
+    assert run(["check", "--channel", path, "--condition", "semidet11", "--samples", 2, "--seed", 0]) == 2
+    assert f"does not match cardinalities ({2**62 + 1}, 4, 2, 2) ({2**66 + 16})" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("card", [1.5, True])
+def test_aux_cards_are_not_truncated(tmp_path, capsys, card):
+    aux = _benchmark_setup()[1].to_jsonable()
+    aux["axes"] = [[name, card if name == "V" else c] for name, c in aux["axes"]]
+    path = _config_file(tmp_path, "simulate", aux=aux)
+    assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: card of V must be an integer" in err, err
+
+
+def test_simulate_long_block_exits_2_naming_the_count(tmp_path, capsys):
+    # 2 ** (n * r1) overflows a float from n * r1 = 1024 on
+    path = _config_file(tmp_path, "simulate", n=100000)
+    assert run(["simulate", "--config", path, "--out", tmp_path / "out"]) == 2
+    assert "n_m1 needs 2^50000 codewords, over the budget" in capsys.readouterr().err
+
+
 def test_discrete_cards_take_at_most_four_values(tmp_path, capsys):
     write_channel(orthogonal_channel(), tmp_path / "orth.json")
     assert run(["discrete", "--bound", "inner", "--channel", tmp_path / "orth.json", "--cards", "1,2,5,5,5",

@@ -12,6 +12,8 @@ from crcsec.prob import (
     Informations,
     JointPmf,
     ProbError,
+    _entropy_of,
+    _row_entropies,
     _stacked_sum,
     conditional_mutual_information,
     entropy,
@@ -291,6 +293,27 @@ def test_stacked_informations_equal_one_shot_rows(case, queries):
             if group:
                 want = np.array([entropy(p, group) for p in joints])
                 assert same_bits(info.h(group), want[which])
+
+
+def test_row_entropies_equal_one_shot_rows_bit_for_bit():
+    """Each entry of ``_row_entropies`` is ``_entropy_of`` of its row, bit for bit,
+    on rows with equal nonzero counts but different supports interleaved with
+    other counts, on zero-heavy flat-Dirichlet rows over 8 to 200 cells, on
+    one-row stacks and on the strided ``(S, cells)`` view that the memo passes."""
+    rng = np.random.default_rng(20)
+    mixed = np.zeros((12, 30))
+    for r, k in enumerate([3, 5, 3, 30, 5, 3, 1, 5, 12, 3, 12, 30]):
+        mixed[r, rng.choice(30, size=k, replace=False)] = rng.dirichlet(np.ones(k))
+    cases = [mixed, mixed[8:9]]
+    for cells in (8, 9, 17, 64, 129, 200):
+        zero = rng.random((40, cells)) < rng.uniform(0.3, 0.95, size=(40, 1))
+        rows = rng.dirichlet(np.ones(cells), size=40) * ~zero
+        cases += [rows, rows[:1], rows[-1:], np.ascontiguousarray(rows.T).T]
+    for flat in cases:
+        want = np.array([_entropy_of(row) for row in flat])
+        got = _row_entropies(flat)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), flat.shape
 
 
 @st.composite
