@@ -25,6 +25,8 @@ import sys
 from pathlib import Path
 from typing import Any, Sequence
 
+import numpy as np
+
 from . import __version__, accept, binning, bounds, gaussian, region
 from .channel import GaussianCRC, load_channel, read_config
 from .prob import read_number
@@ -80,28 +82,27 @@ def _outdir(path: Any) -> Path:
     return outdir
 
 
-def _sweep_rows(points: list[region.RatePoint], dims: tuple[str, ...]) -> list[str]:
-    lines = ["alpha," + ",".join(region.DIM_HEADERS[d] for d in dims)]
-    for p in points:
-        alpha = p.meta["alpha"]
-        lines.append(f"{alpha:.9f}," + ",".join(f"{getattr(p, d):.9f}" for d in dims))
-    return lines
+def _sweep_csv(alpha: np.ndarray, lines: list[str], dims: tuple[str, ...]) -> str:
+    """A sweep's CSV text: the header, then each alpha before its corner's CSV line."""
+    header = "alpha," + ",".join(region.DIM_HEADERS[d] for d in dims)
+    return "\n".join([header, *(f"{a:.9f},{line}" for a, line in zip(alpha.tolist(), lines))]) + "\n"
 
 
 def cmd_gauss(args: argparse.Namespace) -> int:
     cfg = _config(args, ints=["steps"], floats=["a", "b", "p1", "p2"])
     mode = gaussian.parse_mode(str(cfg["mode"]))
     g = GaussianCRC(a=cfg["a"], b=cfg["b"], p1=cfg["p1"], p2=cfg["p2"])
-    points = gaussian.sweep_points(g, mode, cfg["steps"])
+    alpha, rows = gaussian.sweep(g, mode, cfg["steps"])
     dims = gaussian.FAMILIES[mode].dims
-    rows = _sweep_rows(points, dims)
-    reg = region.pareto_filter(points, dims)
+    lines = region.format_rows(rows)
+    keep = region.frontier_rows(rows).tolist()
     outdir = _outdir(cfg["out"])
-    (outdir / "sweep.csv").write_text("\n".join(rows) + "\n")
-    region.export_csv(reg, outdir / "frontier.csv", sidecar=outdir / "frontier_meta.json")
+    (outdir / "sweep.csv").write_text(_sweep_csv(alpha, lines, dims))
+    region.write_frontier(outdir / "frontier.csv", dims, rows[keep], [lines[i] for i in keep],
+                          [{"alpha": a} for a in alpha[keep].tolist()], sidecar=outdir / "frontier_meta.json")
     cfg["mode"] = mode.value
     outputs = ["sweep.csv", "frontier.csv", "frontier_meta.json"]
-    return _record(args, outdir, cfg, outputs, {"rows": len(rows) - 1, "frontier": len(reg)})
+    return _record(args, outdir, cfg, outputs, {"rows": len(alpha), "frontier": len(keep)})
 
 
 def cmd_figure2(args: argparse.Namespace) -> int:
@@ -109,9 +110,9 @@ def cmd_figure2(args: argparse.Namespace) -> int:
     outdir = _outdir(cfg["outdir"])
     outputs = []
     dims = gaussian.FAMILIES[gaussian.GaussMode.WEAK].dims
-    for b, points in gaussian.figure_sweeps():
+    for b, alpha, rows in gaussian.figure_sweeps():
         name = f"fig2_b{b}.csv"
-        (outdir / name).write_text("\n".join(_sweep_rows(points, dims)) + "\n")
+        (outdir / name).write_text(_sweep_csv(alpha, region.format_rows(rows), dims))
         outputs.append(name)
     return _record(args, outdir, cfg, outputs, {"files": outputs})
 

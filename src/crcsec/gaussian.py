@@ -25,6 +25,13 @@ and the gains it needs:
 
 The corner does not depend on the cross gain ``a``: the known interference
 toward receiver 1 is precoded away.
+
+One array kernel, :func:`corners`, evaluates the corners of an alpha array
+elementwise in the order of the formulas above, each log2 by ``math.log2``,
+so every row equals the corner computed in Python floats bit for bit.
+:func:`corner` is its one-row call; :func:`sweep` gives the uniform grid
+and its rows as arrays (what ``crcsec gauss`` and ``figure2`` write), and
+:func:`sweep_points` the same rows as rate points.
 """
 
 from __future__ import annotations
@@ -33,8 +40,10 @@ import math
 from enum import Enum
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from .channel import GaussianCRC
-from .region import RatePoint, Region, pareto_filter
+from .region import RatePoint, Region, checked_rows, frontier_rows
 
 HYPOTHESIS_TOL = 1e-9
 
@@ -82,12 +91,21 @@ def parse_mode(token: str) -> GaussMode:
         ) from None
 
 
-def psi(x: float) -> float:
-    """0.5 * log2(1 + x) for x >= 0."""
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise GaussError(f"psi requires finite x >= 0, got {x!r}")
-    return 0.5 * math.log2(1.0 + x)
+def psi(x):
+    """0.5 * log2(1 + x) for x >= 0: a float for a number, an array of the
+    same shape for an array.
+
+    Each log2 is ``math.log2`` (``np.log2`` differs in the last bit on about
+    one value in 3 000), so an array entry equals psi of that number. The
+    error names the first entry, in C order, that is not finite and >= 0.
+    """
+    arr = np.asarray(x, dtype=float)
+    bad = ~(np.isfinite(arr) & (arr >= 0.0))
+    if bad.any():
+        raise GaussError(f"psi requires finite x >= 0, got {float(arr[bad].flat[0])!r}")
+    if arr.ndim == 0:
+        return 0.5 * math.log2(1.0 + float(arr))
+    return 0.5 * np.array([math.log2(v) for v in (1.0 + arr).ravel().tolist()]).reshape(arr.shape)
 
 
 def _require(g: GaussianCRC, mode: GaussMode) -> None:
@@ -96,35 +114,57 @@ def _require(g: GaussianCRC, mode: GaussMode) -> None:
         raise GaussError(f"{mode.value} family needs {family.hypothesis}, got a={g.a}, b={g.b}")
 
 
-def _corner(g: GaussianCRC, mode: GaussMode, alpha: float) -> RatePoint:
+def corners(g: GaussianCRC, mode: GaussMode, alpha) -> np.ndarray:
+    """The family's box corners at the power splits ``alpha`` (a 1-D array):
+    one row per split, in the family's ``dims`` order.
+
+    The arithmetic is elementwise, in the order of the formulas above, so
+    every row equals the corner computed with Python floats. psi's three
+    arguments are checked together, split by split, so an overflow names the
+    first one a split-by-split evaluation meets.
+    """
+    _require(g, mode)
+    alpha = np.asarray(alpha, dtype=float)
+    outside = ~((alpha >= 0.0) & (alpha <= 1.0))
+    if outside.any():
+        raise GaussError(f"alpha must be in [0, 1], got {float(alpha[outside][0])}")
     b2 = g.b * g.b
-    r1 = psi(alpha * g.p1)
-    num = (1.0 - alpha) * b2 * g.p1 + g.p2 + 2.0 * abs(g.b) * math.sqrt(
-        (1.0 - alpha) * g.p1 * g.p2
-    )
-    r2 = psi(num / (alpha * b2 * g.p1 + 1.0))
-    re1 = r1 - psi(alpha * b2 * g.p1)
-    re1 = re1 if re1 > 0.0 else 0.0
-    if mode is GaussMode.SECRECY:
-        return RatePoint(re1, r2, meta={"alpha": alpha})
-    return RatePoint(r1, r2, re1, meta={"alpha": alpha})
+    with np.errstate(over="ignore", invalid="ignore"):  # psi reports inf and nan
+        num = (1.0 - alpha) * b2 * g.p1 + g.p2 + 2.0 * abs(g.b) * np.sqrt((1.0 - alpha) * g.p1 * g.p2)
+        args = np.stack([alpha * g.p1, num / (alpha * b2 * g.p1 + 1.0), alpha * b2 * g.p1], axis=1)
+    r1, r2, eve = psi(args).T
+    re1 = r1 - eve
+    re1 = np.where(re1 > 0.0, re1, 0.0)
+    cols = {"r1": re1 if mode is GaussMode.SECRECY else r1, "r2": r2, "re1": re1, "re2": np.zeros_like(r1)}
+    return np.stack([cols[d] for d in FAMILIES[mode].dims], axis=1)
 
 
 def corner(g: GaussianCRC, mode: GaussMode, alpha: float) -> RatePoint:
     """The family's box corner at power split ``alpha``, annotated with alpha."""
-    _require(g, mode)
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise GaussError(f"alpha must be in [0, 1], got {alpha}")
-    return _corner(g, mode, alpha)
+    alpha = np.array([float(alpha)])
+    return _points(mode, alpha, corners(g, mode, alpha))[0]
+
+
+def sweep(g: GaussianCRC, mode: GaussMode, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uniform alpha grid {0, 1/steps, ..., 1} (entry i is i / steps) and
+    its corner rows, checked and clipped as :class:`RatePoint` checks its
+    coordinates."""
+    if steps < 1:
+        raise GaussError("steps must be >= 1")
+    alpha = np.arange(steps + 1) / steps
+    return alpha, checked_rows(corners(g, mode, alpha), FAMILIES[mode].dims)
+
+
+def _points(mode: GaussMode, alpha: np.ndarray, rows: np.ndarray) -> list[RatePoint]:
+    """Corner rows as rate points annotated with their alpha."""
+    dims = FAMILIES[mode].dims
+    return [RatePoint(**dict(zip(dims, row)), meta={"alpha": a})
+            for a, row in zip(alpha.tolist(), rows.tolist())]
 
 
 def sweep_points(g: GaussianCRC, mode: GaussMode, steps: int) -> list[RatePoint]:
     """Corners on the uniform alpha grid {0, 1/steps, ..., 1}."""
-    if steps < 1:
-        raise GaussError("steps must be >= 1")
-    _require(g, mode)
-    return [_corner(g, mode, i / steps) for i in range(steps + 1)]
+    return _points(mode, *sweep(g, mode, steps))
 
 
 class SecrecyClass(str, Enum):
@@ -157,20 +197,23 @@ FIGURE_B_VALUES = (0.25, 0.5, 0.75, 1.0)
 FIGURE_STEPS = 400
 
 
-def figure_sweeps() -> list[tuple[float, list[RatePoint]]]:
-    """Weak-interference alpha sweeps of the reference figure.
+def figure_sweeps() -> list[tuple[float, np.ndarray, np.ndarray]]:
+    """Weak-interference alpha sweeps of the reference figure, as
+    ``(b, alpha, rows)`` from :func:`sweep`.
 
     P1 = P2 = FIGURE_POWER, a = FIGURE_A, b over FIGURE_B_VALUES and
     FIGURE_STEPS steps of alpha.
     """
-    sweeps = []
-    for b in FIGURE_B_VALUES:
-        g = GaussianCRC(a=FIGURE_A, b=b, p1=FIGURE_POWER, p2=FIGURE_POWER)
-        sweeps.append((b, sweep_points(g, GaussMode.WEAK, FIGURE_STEPS)))
-    return sweeps
+    power = FIGURE_POWER
+    return [(b, *sweep(GaussianCRC(a=FIGURE_A, b=b, p1=power, p2=power), GaussMode.WEAK, FIGURE_STEPS))
+            for b in FIGURE_B_VALUES]
 
 
 def figure_dataset() -> list[tuple[float, Region]]:
     """Pareto frontiers of :func:`figure_sweeps`."""
     dims = FAMILIES[GaussMode.WEAK].dims
-    return [(b, pareto_filter(points, dims)) for b, points in figure_sweeps()]
+    data = []
+    for b, alpha, rows in figure_sweeps():
+        keep = frontier_rows(rows)
+        data.append((b, Region(tuple(_points(GaussMode.WEAK, alpha[keep], rows[keep])), dims)))
+    return data

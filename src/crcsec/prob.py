@@ -353,7 +353,7 @@ def sample_joint(
     Deterministic for a fixed seed; full support almost surely.
     """
     names = tuple(str(n) for n, _ in axes)
-    cards = tuple(int(c) for _, c in axes)
+    cards = tuple(read_number(c, int, f"card of {n}") for n, c in axes)
     if any(c < 1 for c in cards):
         raise ProbError(f"cardinalities must be >= 1, got {cards}")
     size = int(np.prod(cards))

@@ -9,17 +9,24 @@ one message drop the corresponding equivocation coordinate).
 One sort-based skyline kernel, ``_skyline`` over coordinate arrays,
 computes every frontier; of equal rows the first occurrence wins. One rule,
 ``_first_distinct``, merges points that agree to 12 decimals (the first
-wins): ``pareto_filter`` (so ``merge`` and ``project``) applies it to all
-its points, ``bounds.search_region`` only to the corners of one candidate,
-so across candidates its ties are exact and the first found wins.
+wins): ``frontier_rows``, the frontier step of an ``(N, d)`` array, applies
+it to all its rows (rounding only the rows another row comes within
+``TIE_TOL`` of in every column), and so does ``pareto_filter`` (so ``merge``
+and ``project``) on its points; ``bounds.search_region`` applies it only to
+the corners of one candidate, so across candidates its ties are exact and
+the first found wins. ``checked_rows`` applies :class:`RatePoint`'s checks
+to a coordinate array, so array callers (the Gaussian sweeps) build no
+points.
 
 Time sharing makes the paper's regions convex. ``support``, one matrix
 product in any number of dims, is the support function of a region's convex
 hull; ``convex_gap`` compares two hulls by it over a fixed simplex grid.
 
-CSV export: header lists active dims (``R1,R2,Re1,Re2`` subset), values at
-9 decimal digits, rows in lexicographically descending order; re-import
-round-trips within 1e-9.
+CSV export: one writer, ``write_frontier``, takes a coordinate array and its
+rows' CSV lines (``format_rows``); ``export_csv`` wraps it for a region.
+Header lists active dims (``R1,R2,Re1,Re2`` subset), values at 9 decimal
+digits, rows in lexicographically descending order; re-import round-trips
+within 1e-9.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ DIM_HEADERS = {"r1": "R1", "r2": "R2", "re1": "Re1", "re2": "Re2"}
 HEADER_DIMS = {v: k for k, v in DIM_HEADERS.items()}
 COORD_TOL = 1e-9
 DEDUPE_DECIMALS = 12
+TIE_TOL = 2 * 10.0**-DEDUPE_DECIMALS  # rows farther apart never share a 12-decimal key
 GAP_GRID_DIVISIONS = 10  # convex_gap's weights are multiples of 1/10
 SKYLINE_BLOCK = 256  # rows per numpy dominance test
 _EARLIER = np.triu(np.ones((SKYLINE_BLOCK, SKYLINE_BLOCK), dtype=bool), 1)  # [j, i]: j < i
@@ -113,6 +121,12 @@ def _ge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m
 
 
+def _descending(rows: np.ndarray) -> np.ndarray:
+    """The stable permutation that sorts an ``(N, d)`` array's rows in
+    descending lexicographic order (equal rows keep their order)."""
+    return np.lexsort(-rows.T[::-1])
+
+
 def _skyline(rows: np.ndarray) -> np.ndarray:
     """Indices of the maximal rows of an ``(N, d)`` array, in descending
     lexicographic order (the one frontier kernel).
@@ -122,7 +136,7 @@ def _skyline(rows: np.ndarray) -> np.ndarray:
     dominates it; ties count, so of equal rows the first wins. Each block of
     rows is tested at once against the rows kept before it and its own.
     """
-    order = np.lexsort(-rows.T[::-1])
+    order = _descending(rows)
     rows = rows[order]
     keep = np.zeros(len(rows), dtype=bool)
     for lo in range(0, len(rows), SKYLINE_BLOCK):
@@ -134,22 +148,63 @@ def _skyline(rows: np.ndarray) -> np.ndarray:
     return order[keep]
 
 
-def _first_distinct(rows: list[tuple[float, ...]]) -> list[int]:
-    """Index of the first of each group of rows that agree to 12 decimals."""
+def _first_distinct(rows: Iterable[Iterable[float]]) -> list[int]:
+    """Index of the first of each group of rows that agree to 12 decimals
+    (Python's ``round`` of each float; ``np.round`` differs)."""
     distinct: dict[tuple[float, ...], int] = {}
     for i, row in enumerate(rows):
         distinct.setdefault(tuple(round(c, DEDUPE_DECIMALS) for c in row), i)
     return list(distinct.values())
 
 
+def _may_tie(rows: np.ndarray) -> np.ndarray:
+    """Rows of an ``(N, d)`` array that lie, in every column, within
+    ``TIE_TOL`` (plus 1e-15 relative) of some other row's value: only these can
+    share their 12-decimal rounding with another row, since two floats with
+    equal ``round(., 12)`` differ by at most 1e-12 plus one unit in the last place."""
+    near = np.ones(len(rows), dtype=bool)
+    for col in rows.T:
+        order = np.argsort(col, kind="stable")
+        v = col[order]
+        close = np.diff(v) <= TIE_TOL + 1e-15 * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+        hit = np.zeros(len(v), dtype=bool)
+        hit[:-1] |= close
+        hit[1:] |= close
+        near[order] &= hit
+    return near
+
+
+def frontier_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the maximal rows of an ``(N, d)`` coordinate array, after
+    merging rows that agree to 12 decimals (the first wins), in descending
+    lexicographic order: the frontier step of :func:`pareto_filter`.
+    ``_first_distinct`` rounds only the rows that may tie."""
+    near = _may_tie(rows)
+    tied = np.flatnonzero(near)
+    distinct = np.sort(np.concatenate([np.flatnonzero(~near), tied[_first_distinct(rows[tied].tolist())]]))
+    return distinct[_skyline(rows[distinct])]
+
+
+def checked_rows(rows: np.ndarray, dims: Iterable[str]) -> np.ndarray:
+    """An ``(N, len(dims))`` coordinate array under :class:`RatePoint`'s
+    checks: the first failing row raises its point's error. Returns the rows
+    with coordinates within ``COORD_TOL`` below 0 clipped to 0."""
+    cols = [DIM_FIELDS.index(d) for d in _check_dims(dims)]
+    full = np.zeros((len(rows), len(DIM_FIELDS)))
+    full[:, cols] = rows
+    clipped = np.where(full < 0.0, 0.0, full)  # as max(v, 0.0): keeps -0.0
+    bad = ~np.isfinite(full).all(axis=1) | (full < -COORD_TOL).any(axis=1)
+    bad |= (clipped[:, 2:] > clipped[:, :2] + COORD_TOL).any(axis=1)  # Re1 <= R1, Re2 <= R2
+    if bad.any():
+        RatePoint(*full[bad.argmax()].tolist())  # raises that row's error
+    return clipped[:, cols]
+
+
 def pareto_filter(points: Iterable[RatePoint], dims: Iterable[str] = DIM_FIELDS) -> Region:
     """Maximal antichain of ``points``, after merging 12-decimal duplicates."""
     dims = _check_dims(dims)
     points = list(points)
-    coords = [p.coords(dims) for p in points]
-    distinct = _first_distinct(coords)
-    rows = np.array([coords[i] for i in distinct], dtype=float).reshape(-1, len(dims))
-    return Region(tuple(points[distinct[i]] for i in _skyline(rows)), dims)
+    return Region(tuple(points[i] for i in frontier_rows(_coords(points, dims))), dims)
 
 
 def merge(a: Region, b: Region) -> Region:
@@ -208,22 +263,33 @@ def convex_gap(a: Region, b: Region) -> float:
     return float((support(a, grid) - support(b, grid)).max())
 
 
-def export_csv(region: Region, path: str | Path, sidecar: str | Path | None = None) -> None:
-    """Write the frontier as CSV; optionally write a JSON metadata sidecar.
+def format_rows(rows: np.ndarray) -> list[str]:
+    """Each row of a coordinate array as a CSV line: values at 9 decimals."""
+    template = ",".join(["%.9f"] * rows.shape[1])
+    return [template % tuple(row) for row in rows.tolist()]
 
-    The sidecar maps row index (as a string) to each point's ``meta``,
-    serialized with ``to_jsonable()`` when available.
+
+def write_frontier(path: str | Path, dims: tuple[str, ...], rows: np.ndarray, lines: list[str],
+                   metas: list[Any], sidecar: str | Path | None = None) -> None:
+    """Write frontier rows as CSV in descending lexicographic order of
+    ``rows``, an ``(N, len(dims))`` array whose row i is ``lines[i]``
+    (:func:`format_rows`); optionally write a JSON metadata sidecar that maps
+    each CSV row's index (as a string) to that row's JSON-ready ``metas`` entry.
     """
-    path = Path(path)
-    headers = [DIM_HEADERS[d] for d in region.dims]
-    rows = sorted(region.frontier, key=lambda p: p.coords(region.dims), reverse=True)
-    lines = [",".join(headers)]
-    for p in rows:
-        lines.append(",".join(f"{c:.9f}" for c in p.coords(region.dims)))
-    path.write_text("\n".join(lines) + "\n")
+    order = _descending(rows).tolist()
+    header = ",".join(DIM_HEADERS[d] for d in dims)
+    Path(path).write_text("\n".join([header, *(lines[i] for i in order)]) + "\n")
     if sidecar is not None:
-        meta_obj = {str(i): _jsonable_meta(p.meta) for i, p in enumerate(rows)}
-        Path(sidecar).write_text(json.dumps(meta_obj, indent=1))
+        Path(sidecar).write_text(json.dumps({str(k): metas[i] for k, i in enumerate(order)}, indent=1))
+
+
+def export_csv(region: Region, path: str | Path, sidecar: str | Path | None = None) -> None:
+    """Write the frontier as CSV (:func:`write_frontier`); the optional
+    sidecar holds each point's ``meta``, serialized with ``to_jsonable()``
+    when available."""
+    rows = _coords(region.frontier, region.dims)
+    metas = [_jsonable_meta(p.meta) for p in region.frontier]
+    write_frontier(path, region.dims, rows, format_rows(rows), metas, sidecar)
 
 
 def _jsonable_meta(meta: Any) -> Any:

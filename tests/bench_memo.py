@@ -1,4 +1,5 @@
-"""Per-layer timings of the stacked entropy memo, with pytest-benchmark.
+"""Per-layer timings of the stacked entropy memo and of the Gaussian sweeps,
+with pytest-benchmark.
 
 Run from the repository root:
 
@@ -9,13 +10,14 @@ and pytest runs it only when given its path. The stack is one of the AC6
 search's: the outer bound on ``xor_channel()`` at the default search
 cardinalities (W 2, V 5, U 5), 40 candidates of 800 extended-joint floats.
 The row-entropy kernel runs on the marginals of that bound's structured
-candidates, whose rows have mixed supports.
+candidates, whose rows have mixed supports. The Gaussian cases time one
+800-step ``crcsec gauss`` job in-process and ``figure_dataset()``.
 """
 
 import numpy as np
 import pytest
 
-from crcsec import bounds, prob
+from crcsec import bounds, cli, gaussian, prob
 from crcsec.channel import push_through, xor_channel
 
 CH = xor_channel()
@@ -75,3 +77,16 @@ def test_bound_point_inner(benchmark):
 def test_search_outer_ac6(benchmark):
     """AC6's search: the outer bound on xor at 5000 samples."""
     benchmark.pedantic(bounds.search_region, args=(CH, "outer"), kwargs={"samples": 5000}, rounds=3)
+
+
+def test_gauss_cli_800_steps(benchmark, tmp_path):
+    """One weak-family ``crcsec gauss`` job of 800 steps: sweep, frontier and
+    the three output files."""
+    argv = ["gauss", "--mode", "weak", "--a", "1.3", "--b", "0.75", "--p1", "23.1", "--p2", "17.7",
+            "--steps", "800", "--out", str(tmp_path / "gauss")]
+    assert benchmark(cli.main, argv) == 0
+
+
+def test_figure_dataset(benchmark):
+    """The four weak-family frontiers of the reference figure, as rate points."""
+    benchmark(gaussian.figure_dataset)

@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from crcsec import cli, gaussian
-from crcsec.accept import _benchmark_setup
-from crcsec.channel import orthogonal_channel, write_channel, xor_channel
+from crcsec.accept import _benchmark_setup, brute_force_frontier
+from crcsec.channel import GaussianCRC, orthogonal_channel, write_channel, xor_channel
+from crcsec.region import RatePoint
+from test_gaussian import corner_oracle
 
 
 def run(argv):
@@ -128,6 +130,76 @@ def test_unwritable_output_dir_exits_2(tmp_path, capsys, command):
     blocker.write_text("a file, not a directory")
     assert run([command, *flags, "--out", blocker / "x"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gauss_overflow_exits_2_naming_psi(tmp_path, capsys):
+    # at alpha = 0 the R2 argument overflows to inf; nothing is written
+    out = tmp_path / "g"
+    code = run(["gauss", "--mode", "weak", "--a", 1, "--b", 0.5, "--p1", 1e308, "--p2", 1e308,
+                "--steps", 4, "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == "error: psi requires finite x >= 0, got inf\n"
+    assert not out.exists()
+
+
+ORACLE_HEADERS = {"weak": "R1,R2,Re1", "degraded": "R1,R2,Re1,Re2", "secrecy": "R1,R2"}
+
+
+def _oracle_csv_line(values):
+    return ",".join(f"{v:.9f}" for v in values)
+
+
+def _oracle_sweep(g, mode, steps):
+    """sweep.csv's text and its (alpha, corner) pairs, from the scalar oracle."""
+    pairs = [(i / steps, corner_oracle(g, gaussian.GaussMode(mode), i / steps)) for i in range(steps + 1)]
+    lines = [f"alpha,{ORACLE_HEADERS[mode]}"] + [f"{a:.9f},{_oracle_csv_line(c)}" for a, c in pairs]
+    return "\n".join(lines) + "\n", pairs
+
+
+def _oracle_gauss_files(g, mode, steps):
+    """Every gauss output from the scalar oracle, an O(n^2) dominance scan and
+    ``json.dumps``; the frontier's rows descend and each keeps its first alpha."""
+    sweep, pairs = _oracle_sweep(g, mode, steps)
+    dims = gaussian.FAMILIES[gaussian.GaussMode(mode)].dims
+    points = [RatePoint(**dict(zip(dims, c))) for _, c in pairs]
+    front = sorted(brute_force_frontier(points, dims), reverse=True)
+    first = {}
+    for a, c in pairs:
+        first.setdefault(tuple(c), a)
+    frontier = "\n".join([ORACLE_HEADERS[mode]] + [_oracle_csv_line(c) for c in front]) + "\n"
+    meta = json.dumps({str(k): {"alpha": first[c]} for k, c in enumerate(front)}, indent=1)
+    return {"sweep.csv": sweep, "frontier.csv": frontier, "frontier_meta.json": meta}, len(front)
+
+
+@pytest.mark.parametrize(
+    "mode, a, b, p1, p2, steps",
+    [
+        ("weak", 1.3, -0.6, 23.1, 7.7, 1),
+        ("weak", 0.7, 1.0, 5.0, 40.0, 300),
+        ("degraded", 2.5, 0.4, 12.0, 3.0, 1),
+        ("degraded", -2.5, -0.4, 12.0, 3.0, 200),
+        ("secrecy", 1.0, 0.45, 20.0, 20.0, 123),
+        ("secrecy", 1.0, -1.7, 20.0, 20.0, 50),  # |b| > 1: R1 = 0, one frontier row
+    ],
+)
+def test_gauss_outputs_equal_the_oracle_byte_for_byte(tmp_path, capsys, mode, a, b, p1, p2, steps):
+    out = tmp_path / "g"
+    assert run(["gauss", "--mode", mode, "--a", a, "--b", b, "--p1", p1, "--p2", p2,
+                "--steps", steps, "--out", out]) == 0
+    files, frontier = _oracle_gauss_files(GaussianCRC(a, b, p1, p2), mode, steps)
+    for name, text in files.items():
+        assert (out / name).read_bytes() == text.encode(), name
+    assert json.loads(capsys.readouterr().out) == {"rows": steps + 1, "frontier": frontier}
+    assert frontier == 1 if abs(b) > 1 else frontier > 1
+
+
+def test_figure2_equals_the_oracle_byte_for_byte(tmp_path):
+    assert run(["figure2", "--outdir", tmp_path]) == 0
+    power = gaussian.FIGURE_POWER
+    for b in gaussian.FIGURE_B_VALUES:
+        g = GaussianCRC(gaussian.FIGURE_A, b, power, power)
+        sweep, _ = _oracle_sweep(g, "weak", gaussian.FIGURE_STEPS)
+        assert (tmp_path / f"fig2_b{b}.csv").read_bytes() == sweep.encode(), b
 
 
 def test_gauss_perfect_secrecy_strong_interference_zero_r1(tmp_path):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from crcsec import cli
 from crcsec.channel import GaussianCRC
@@ -11,9 +15,11 @@ from crcsec.gaussian import (
     SecrecyClass,
     classify_gaussian,
     corner,
+    corners,
     figure_dataset,
     parse_mode,
     psi,
+    sweep,
     sweep_points,
 )
 from crcsec.region import pareto_filter
@@ -210,3 +216,56 @@ def test_gauss_point_invariants():
     for alpha in np.linspace(0, 1, 21):
         pt = corner(g, WEAK, float(alpha))
         assert 0.0 <= pt.re1 <= pt.r1 + 1e-12
+
+
+def corner_oracle(g, mode, alpha):
+    """The corner at one power split in Python floats, in the family's dims
+    order: the closed form's scalar arithmetic, kept apart from the kernel."""
+    b2 = g.b * g.b
+    r1 = 0.5 * math.log2(1.0 + alpha * g.p1)
+    num = (1.0 - alpha) * b2 * g.p1 + g.p2 + 2.0 * abs(g.b) * math.sqrt((1.0 - alpha) * g.p1 * g.p2)
+    r2 = 0.5 * math.log2(1.0 + num / (alpha * b2 * g.p1 + 1.0))
+    re1 = r1 - 0.5 * math.log2(1.0 + alpha * b2 * g.p1)
+    re1 = re1 if re1 > 0.0 else 0.0
+    if mode is SECRECY:
+        return (re1, r2)
+    return (r1, r2, re1, 0.0)[: len(FAMILIES[mode].dims)]
+
+
+@st.composite
+def gauss_cases(draw):
+    """A family, gains inside its hypothesis (either sign of b; secrecy also
+    with |b| >= 1), powers over six decades and 1 to 1000 steps."""
+    mode = draw(st.sampled_from([WEAK, DEGRADED, SECRECY]))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    gains = {WEAK: st.floats(0.0, 1.0), DEGRADED: st.floats(0.05, 0.95), SECRECY: st.floats(0.0, 4.0)}
+    b = sign * draw(gains[mode])
+    a = 1.0 / b if mode is DEGRADED else draw(st.floats(0.1, 3.0))
+    p1, p2 = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    return GaussianCRC(a, b, p1, p2), mode, draw(st.integers(1, 1000))
+
+
+# About one log2 argument in 3 000 gets another last bit from np.log2 than
+# from math.log2: the examples draw a few hundred thousand arguments.
+@settings(max_examples=150, deadline=None)
+@given(case=gauss_cases())
+@example(case=(GaussianCRC(1.0, -2.0, 20.0, 20.0), SECRECY, 1000))
+@example(case=(GaussianCRC(0.8, -1.0, 0.3, 700.0), WEAK, 1000))
+@example(case=(GaussianCRC(2.5, 0.4, 12.0, 3.0), DEGRADED, 1))
+def test_sweep_equals_scalar_oracle_bit_for_bit(case):
+    g, mode, steps = case
+    alpha, rows = sweep(g, mode, steps)
+    assert alpha.tolist() == [i / steps for i in range(steps + 1)]
+    assert alpha[0] == 0.0 and alpha[-1] == 1.0
+    want = np.array([corner_oracle(g, mode, a) for a in alpha.tolist()])
+    assert rows.shape == want.shape == (steps + 1, len(FAMILIES[mode].dims))
+    np.testing.assert_array_equal(rows.view(np.uint64), want.view(np.uint64))
+    np.testing.assert_array_equal(corners(g, mode, alpha).view(np.uint64), want.view(np.uint64))
+
+
+def test_psi_of_an_array_checks_every_entry():
+    assert psi(np.array([[0.0, 3.0], [15.0, 20.0]])).tolist() == [[0.0, 1.0], [2.0, psi(20.0)]]
+    with pytest.raises(GaussError, match="got inf"):
+        psi(np.array([1.0, float("inf"), -1.0]))
+    with pytest.raises(GaussError, match=r"got -0\.5"):
+        psi(np.array([[1.0, -0.5], [float("nan"), 2.0]]))

@@ -132,6 +132,13 @@ def test_sample_joint_simplex_and_determinism():
         sample_joint([("X", 0)], seed=1)
 
 
+@pytest.mark.parametrize("card, shown", [(1.5, "1.5"), (True, "True"), ("2.5", "'2.5'")])
+def test_sample_joint_cards_are_not_truncated(card, shown):
+    with pytest.raises(ProbError, match=f"card of V must be an integer, got {shown}"):
+        sample_joint([("V", card), ("U", 1), ("X1", 2)], seed=0)
+    assert sample_joint([("V", 2.0), ("U", "3")], seed=0).probs.shape == (2, 3)
+
+
 def test_sample_joint_flat_dirichlet_mean():
     vals = [sample_joint([("X", 2)], seed=s).probs[0] for s in range(10_000)]
     assert abs(np.mean(vals) - 0.5) < 0.02

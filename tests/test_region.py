@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcsec.accept import brute_force_frontier
@@ -11,6 +13,7 @@ from crcsec.region import (
     Region,
     RegionError,
     _gap_grid,
+    checked_rows,
     contains_point,
     convex_gap,
     dominates,
@@ -47,6 +50,28 @@ def test_rate_point_validation():
     assert RatePoint(-1e-12, 0.0).r1 == 0.0
 
 
+@pytest.mark.parametrize(
+    "dims, bad",
+    [
+        (("r1", "r2", "re1"), [0.1, 0.1, 0.5]),
+        (("r1", "r2", "re1"), [float("nan"), 0.0, 0.0]),
+        (("r1", "r2"), [0.2, -0.5]),
+        (("r2", "re2"), [0.1, 0.5]),
+        (DIM_FIELDS, [0.3, 0.2, 0.1, float("inf")]),
+    ],
+)
+def test_checked_rows_raise_the_first_failing_points_error(dims, bad):
+    with pytest.raises(RegionError) as expected:
+        RatePoint(**dict(zip(dims, bad)))
+    good = [[{"r1": 0.5, "r2": 0.4, "re1": 0.3, "re2": 0.2}[d] for d in dims], [-1e-12] * len(dims)]
+    rows = np.array(good + [bad, [float("nan")] * len(dims)])
+    with pytest.raises(RegionError, match=f"^{re.escape(str(expected.value))}$"):
+        checked_rows(rows, dims)
+    clipped = checked_rows(np.array(good + [[-0.0] * len(dims)]), dims)
+    assert clipped.tolist() == [good[0], [0.0] * len(dims), [0.0] * len(dims)]
+    assert np.signbit(clipped[2]).all()  # as max(-0.0, 0.0) keeps -0.0
+
+
 def test_pareto_filter_small():
     pts = [P(1, 1), P(0, 2), P(0.5, 0.5)]
     reg = pareto_filter(pts, ("r1", "r2"))
@@ -73,14 +98,16 @@ def test_pareto_filter_idempotent_and_brute_force():
 
 @st.composite
 def tie_heavy_points(draw):
-    """Active dims plus points on a k/3 grid, nudged by 4e-16 or 1e-13, with repeats."""
+    """Active dims plus points on a k/3 or k/4 grid, nudged by 4e-16, 1e-13 or
+    4.9e-13, with repeats. k/4 +- 4.9e-13 share their 12-decimal key, 9.8e-13 apart."""
     dims = draw(
         st.sampled_from([("r1",), ("re2",), ("r1", "r2"), ("r2", "re1"), ("r1", "r2", "re1"), DIM_FIELDS])
     )
     grid = st.builds(
-        lambda k, nudge: max(k / 3 + nudge, 0.0),
+        lambda k, d, nudge: max(k / d + nudge, 0.0),
         st.integers(0, 6),
-        st.sampled_from([0.0, 0.0, 4e-16, -4e-16, 1e-13, -1e-13]),
+        st.sampled_from([3, 4]),
+        st.sampled_from([0.0, 0.0, 4e-16, -4e-16, 1e-13, -1e-13, 4.9e-13, -4.9e-13]),
     )
     rows = draw(st.lists(st.tuples(grid, grid, grid, grid), max_size=40))
     points = [P(r1, r2, min(e1, r1), min(e2, r2)) for r1, r2, e1, e2 in rows]
@@ -91,6 +118,7 @@ def tie_heavy_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case=tie_heavy_points())
+@example(case=(("r1",), [P(0.25 - 4.9e-13, meta=0), P(0.25 + 4.9e-13, meta=1)]))  # one key: the first wins
 def test_pareto_filter_matches_brute_force_on_ties(case):
     dims, points = case
     first: dict[tuple[float, ...], RatePoint] = {}
