@@ -11,10 +11,13 @@ set of a small polytope:
     0 <= R1 <= A,   0 <= R2 <= B,   R1 + R2 <= S,
 
 with per-vertex equivocation coordinates Re_i = min(R_i, E_i) attached from
-the distribution's secrecy caps. Regions are unions over all admissible
-distributions; ``search_region`` under-approximates that union by Pareto-
-merging the vertices of structured candidate distributions plus seeded
-flat-Dirichlet draws. Structural channel orderings are checked by
+the distribution's secrecy caps. :func:`_vertex_rows` forms the vertices of
+a whole stack in one closed form over its ``(5, S)`` caps; only candidates
+with two corners within 12-decimal reach of each other take the scalar
+:func:`_vertices`. Regions are unions over all admissible distributions;
+``search_region`` under-approximates that union by Pareto-merging the
+vertices of structured candidate distributions plus seeded flat-Dirichlet
+draws, a stack at a time from :func:`prob.dirichlet_block`. Structural channel orderings are checked by
 falsification search only: a reported "holds" means no violating
 distribution was found at the given sampling effort, never a proof.
 """
@@ -30,8 +33,8 @@ from typing import Any, Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channel import DiscreteCRC, detect_semi_deterministic, push_through
-from .prob import Informations, JointPmf, relabel
-from .region import RatePoint, Region, _first_distinct, _skyline
+from .prob import Informations, JointPmf, dirichlet_block, relabel
+from .region import RatePoint, Region, _first_distinct, _skyline, _within_tie
 
 # Caps within this tolerance of zero are snapped to exactly 0 so that
 # channels satisfying an ordering termwise (e.g. identical outputs) yield
@@ -53,7 +56,8 @@ def _clip_rate(x: float) -> float:
 def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[tuple[float, ...]]:
     """Corner rows ``(r1, r2, re1, re2)`` of {0<=R1<=a, 0<=R2<=b, R1+R2<=s},
     with Re_i = min(R_i, E_i). Corners that agree to 12 decimals merge (the
-    first in set order wins); dominated corners are left to the caller's skyline."""
+    first in set order wins); dominated corners are left to the caller's skyline.
+    The scalar form of :func:`_vertex_rows`, which calls it for near ties."""
     a, b, s, e1, e2 = (_clip_rate(x) for x in (a, b, s, e1, e2))
     s = min(s, a + b)
     corners = list({
@@ -66,6 +70,38 @@ def _vertices(a: float, b: float, s: float, e1: float, e2: float) -> list[tuple[
         (r1, r2, min(r1, e1), min(r2, e2))
         for r1, r2 in (corners[i] for i in _first_distinct(corners))
     ]
+
+
+_EARLIER_CORNER = np.triu(np.ones((4, 4), dtype=bool), 1)  # [i, j]: corner i comes before j
+
+
+def _vertex_rows(caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_vertices` of every column of a ``(5, S)`` cap array: the corner
+    rows ``(M, 4)``, candidate by candidate, and the candidate of each row.
+
+    One closed form forms the four corners of every candidate and drops exact
+    repeats, as the scalar form's set does. A candidate with two distinct
+    corners :func:`region._within_tie` in both rates may hold a 12-decimal
+    tie, whose winner is the scalar form's set order, so only those candidates
+    take :func:`_vertices`. Within a candidate the row order differs from the
+    scalar one; the skyline's descending sort does not see it."""
+    a, b, s, e1, e2 = np.where(caps > CAP_SNAP_TOL, caps, 0.0)
+    s = np.minimum(s, a + b)
+    zero = np.zeros_like(a)
+    r1 = np.stack([np.minimum(a, s), zero, np.where(s >= a, a, s),
+                   np.where(s >= b, np.minimum(a, s - b), 0.0)], axis=1)
+    r2 = np.stack([zero, np.minimum(b, s), np.where(s >= a, np.minimum(b, s - a), 0.0),
+                   np.where(s >= b, b, s)], axis=1)
+    i1, j1, i2, j2 = r1[:, :, None], r1[:, None, :], r2[:, :, None], r2[:, None, :]  # [s, i, j]
+    same = (i1 == j1) & (i2 == j2)
+    keep = ~(same & _EARLIER_CORNER).any(axis=1)
+    near = (_within_tie(i1, j1) & _within_tie(i2, j2) & ~same & _EARLIER_CORNER).any(axis=(1, 2))
+    rows = np.stack([r1, r2, np.minimum(r1, e1[:, None]), np.minimum(r2, e2[:, None])], axis=2)
+    for r in np.flatnonzero(near):
+        corners = _vertices(*caps[:, r].tolist())
+        keep[r] = np.arange(4) < len(corners)
+        rows[r, : len(corners)] = corners
+    return rows[keep], np.nonzero(keep)[0]
 
 
 # A bound's caps (A, B, S, E1, E2) per row of a stack of extended joints:
@@ -218,8 +254,8 @@ def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoi
     missing = [name for name in spec.aux_axes if not aux.has_axes([name])]
     if missing:
         raise BoundsError(f"auxiliary joint lacks axes {missing}")
-    rows = _vertices(*_caps(ch, spec, aux.axes, aux.probs[None])[:, 0].tolist())
-    return [RatePoint(*rows[i]) for i in _skyline(np.array(rows)[:, :2])]
+    rows = _vertex_rows(_caps(ch, spec, aux.axes, aux.probs[None]))[0]
+    return [RatePoint(*rows[i].tolist()) for i in _skyline(rows[:, :2])]
 
 
 def parse_bound(token: str) -> BoundKind:
@@ -299,17 +335,16 @@ def structured_candidates(ch: DiscreteCRC, axes: list[tuple[str, int]]) -> np.nd
 
 def _candidate_stacks(ch: DiscreteCRC, structured: np.ndarray, samples: int, seed: int) -> Iterator[tuple]:
     """``(source, start, stack)``: the ``structured`` rows, then seeded
-    flat-Dirichlet draws (draw ``i`` from ``SeedSequence((seed, i))``), in
-    stacks of at most ``_STACK_FLOATS`` extended-joint floats (one row at least)."""
+    flat-Dirichlet draws, in stacks of at most ``_STACK_FLOATS`` extended-joint
+    floats (one row at least). Draw ``i`` is
+    ``default_rng(SeedSequence((seed, i))).dirichlet(np.ones(size))``, bit for
+    bit; one :func:`prob.dirichlet_block` call draws a stack."""
     cards, size = structured.shape[1:], structured[0].size
     step = max(1, _STACK_FLOATS // (size * ch.cards[2] * ch.cards[3]))
     for start in range(0, len(structured), step):
         yield "structured", start, structured[start : start + step]
     for start in range(0, samples, step):
-        stack = np.empty((min(step, samples - start), size))
-        for r in range(len(stack)):
-            rng = np.random.default_rng(np.random.SeedSequence((int(seed), start + r)))
-            stack[r] = rng.dirichlet(np.ones(size))
+        stack = dirichlet_block(seed, start, min(step, samples - start), size)
         yield "sample", start, stack.reshape((-1,) + cards)
 
 
@@ -344,15 +379,15 @@ def search_region(
     frontier = np.empty((0, len(dims)))
     owners: list[tuple[str, int, np.ndarray]] = []  # (source, index, aux) of each frontier row
     for source, start, stack in _candidate_stacks(ch, structured_candidates(ch, axes), samples, seed):
-        rows = []
-        for r, caps in enumerate(_caps(ch, spec, names, stack).T.tolist()):
-            corners = _vertices(*caps)
-            rows += corners
-            owners += [(source, start + r, stack[r].copy())] * len(corners)
+        rows, candidate = _vertex_rows(_caps(ch, spec, names, stack))
         # the running frontier goes first: it was found first
-        frontier = np.concatenate([frontier, np.array(rows)[:, cols]])
-        keep = _skyline(frontier)
-        frontier, owners = frontier[keep], [owners[i] for i in keep]
+        old = len(owners)
+        frontier = np.concatenate([frontier, rows[:, cols]])
+        keep = _skyline(frontier).tolist()
+        new = {i: int(candidate[i - old]) for i in keep if i >= old}
+        aux = {r: stack[r].copy() for r in set(new.values())}  # survivors only: no stack stays alive
+        frontier = frontier[keep]
+        owners = [(source, start + new[i], aux[new[i]]) if i in new else owners[i] for i in keep]
     points = [
         RatePoint(**dict(zip(dims, row)), meta={"source": src, "index": i, "aux": JointPmf(names, aux)})
         for row, (src, i, aux) in zip(frontier.tolist(), owners)

@@ -13,7 +13,14 @@ binning-code simulator) is built on the small toolkit in this module:
   the parity test, not the outputs silently); one joint is the S = 1 stack.
 - :func:`relabel`, one ``bincount`` that moves each cell of a stack of joints
   to the cell that deterministic maps of its coordinates name.
-- Flat-Dirichlet sampling of joint distributions (seeded, deterministic).
+- Seeded flat-Dirichlet sampling of joint distributions:
+  :func:`dirichlet_block` draws rows ``first, first + 1, ...`` of
+  ``default_rng(SeedSequence((seed, i))).dirichlet(ones)`` bit for bit, with
+  the SeedSequence states of all rows from one array pass of numpy's
+  stream-stable hash, one PCG64 fill of standard exponentials per row, and
+  ``dirichlet``'s scaling by the reciprocal of each row's sequential sum;
+  :func:`sample_joint` is one draw from any seed. ``numpy.random`` is
+  imported on first use.
 - Strong joint typicality, one kernel over stacks of words:
   :func:`typical_mask` takes integer arrays of shape ``(..., n)`` per
   variable (leading shapes broadcast), counts every word's cells with one
@@ -46,6 +53,7 @@ __all__ = [
     "positive_part",
     "read_number",
     "relabel",
+    "dirichlet_block",
     "sample_joint",
     "typical_mask",
 ]
@@ -344,11 +352,121 @@ def mutual_information(p: JointPmf, a: str | Iterable[str], b: str | Iterable[st
     return float(Informations(p).i(a, b)[0])
 
 
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx, stream-stable
+# since 1.17): a pool of four uint32 words, hash multipliers that advance
+# with every call whatever the data, and 16-bit xorshifts.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+
+
+def _words(n: int) -> list[int]:
+    """The uint32 words of an int >= 0 as SeedSequence reads it: least
+    significant first, ``[0]`` for 0."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pool_states(entropy: list[np.ndarray]) -> np.ndarray:
+    """``(n, 4)`` uint64: row k is ``generate_state(4, np.uint64)`` of the
+    SeedSequence whose entropy words are ``[w[k] for w in entropy]``, each
+    ``w`` a length-n uint32 array (one column of the rows' entropy)."""
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> np.uint32(16)
+
+    zero = np.zeros_like(entropy[0])
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, state = _INIT_B, []
+    for i in range(2 * _POOL_WORDS):  # 8 uint32 words, little-endian pairs of 4 uint64
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state.append((value ^ value >> np.uint32(16)).astype(np.uint64))
+    return np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[0::2], state[1::2])], axis=1)
+
+
+def _seed_states(seed: int, first: int, rows: int) -> np.ndarray:
+    """``(rows, 4)`` uint64: row k is
+    ``SeedSequence((seed, first + k)).generate_state(4, np.uint64)``, the
+    state ``default_rng`` seeds its PCG64 with. Indices below 2**64."""
+    index = int(first) + np.arange(rows, dtype=np.uint64)
+    out = np.empty((rows, 4), dtype=np.uint64)
+    for part, width in ((index <= _MASK32, 1), (index > _MASK32, 2)):  # an index's word count
+        if part.any():
+            words = [np.full(np.count_nonzero(part), w, dtype=np.uint32) for w in _words(int(seed))]
+            words += [(index[part] >> np.uint64(32 * w) & np.uint64(_MASK32)).astype(np.uint32) for w in range(width)]
+            out[part] = _pool_states(words)
+    return out
+
+
+@functools.cache
+def _generator_factory() -> Callable[[np.ndarray], Any]:
+    """``state -> Generator(PCG64(...))`` seeded with a given
+    ``generate_state(4, np.uint64)`` output. Built on first use, so importing
+    this module does not import ``numpy.random``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype: Any = np.uint32) -> np.ndarray:
+            return self.state
+
+    return lambda state: Generator(PCG64(FixedState(state)))
+
+
+def _normalized(draws: np.ndarray) -> np.ndarray:
+    """``Generator.dirichlet``'s all-ones step, in place: each row of
+    standard exponentials times the reciprocal of its sequential sum."""
+    draws *= 1.0 / np.add.accumulate(draws, axis=-1)[..., -1:]
+    return draws
+
+
+def dirichlet_block(seed: int, first: int, rows: int, size: int) -> np.ndarray:
+    """``(rows, size)``: row k is the flat-Dirichlet draw of
+    ``default_rng(SeedSequence((seed, first + k))).dirichlet(np.ones(size))``,
+    bit for bit. All rows' seed states come from one array pass of
+    SeedSequence's hash; each row's PCG64 then fills it with standard
+    exponentials, which is how ``dirichlet`` draws an all-ones alpha."""
+    if seed < 0 or first < 0:  # SeedSequence rejects negative entropy
+        raise ProbError(f"seed and first index must be >= 0, got {seed} and {first}")
+    generator = _generator_factory()
+    draws = np.empty((rows, size))
+    for row, state in zip(draws, _seed_states(seed, first, rows)):
+        generator(state).standard_exponential(out=row)
+    return _normalized(draws)
+
+
 def sample_joint(
     axes: Sequence[tuple[str, int]],
     seed: int | np.random.SeedSequence,
 ) -> JointPmf:
-    """Draw a joint pmf uniformly from the simplex (flat Dirichlet).
+    """Draw a joint pmf uniformly from the simplex (flat Dirichlet): the
+    standard exponentials of ``default_rng(seed)`` scaled as in
+    :func:`dirichlet_block`, so the draw equals ``dirichlet(np.ones(size))``.
 
     Deterministic for a fixed seed; full support almost surely.
     """
@@ -356,9 +474,7 @@ def sample_joint(
     cards = tuple(read_number(c, int, f"card of {n}") for n, c in axes)
     if any(c < 1 for c in cards):
         raise ProbError(f"cardinalities must be >= 1, got {cards}")
-    size = int(np.prod(cards))
-    rng = np.random.default_rng(seed)
-    flat = rng.dirichlet(np.ones(size))
+    flat = _normalized(np.random.default_rng(seed).standard_exponential(int(np.prod(cards))))
     return JointPmf(names, flat.reshape(cards))
 
 

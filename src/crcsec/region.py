@@ -26,15 +26,19 @@ CSV export: one writer, ``write_frontier``, takes a coordinate array and its
 rows' CSV lines (``format_rows``); ``export_csv`` wraps it for a region.
 Header lists active dims (``R1,R2,Re1,Re2`` subset), values at 9 decimal
 digits, rows in lexicographically descending order; re-import round-trips
-within 1e-9.
+within 1e-9. The optional JSON sidecar holds the bytes of
+``json.dumps(metas, indent=1)``, written by ``_dumps_indent1`` without
+``json``'s pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import product
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -157,16 +161,23 @@ def _first_distinct(rows: Iterable[Iterable[float]]) -> list[int]:
     return list(distinct.values())
 
 
+def _within_tie(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Where ``x`` and ``y`` lie within ``TIE_TOL`` (plus 1e-15 relative) of
+    each other: only such values can share their 12-decimal rounding, since two
+    floats with equal ``round(., 12)`` differ by at most 1e-12 plus one unit in
+    the last place."""
+    return np.abs(x - y) <= TIE_TOL + 1e-15 * np.maximum(np.abs(x), np.abs(y))
+
+
 def _may_tie(rows: np.ndarray) -> np.ndarray:
-    """Rows of an ``(N, d)`` array that lie, in every column, within
-    ``TIE_TOL`` (plus 1e-15 relative) of some other row's value: only these can
-    share their 12-decimal rounding with another row, since two floats with
-    equal ``round(., 12)`` differ by at most 1e-12 plus one unit in the last place."""
+    """Rows of an ``(N, d)`` array that lie, in every column,
+    :func:`_within_tie` of some other row's value: only these can share their
+    12-decimal rounding with another row."""
     near = np.ones(len(rows), dtype=bool)
     for col in rows.T:
         order = np.argsort(col, kind="stable")
         v = col[order]
-        close = np.diff(v) <= TIE_TOL + 1e-15 * np.maximum(np.abs(v[1:]), np.abs(v[:-1]))
+        close = _within_tie(v[1:], v[:-1])
         hit = np.zeros(len(v), dtype=bool)
         hit[:-1] |= close
         hit[1:] |= close
@@ -280,7 +291,70 @@ def write_frontier(path: str | Path, dims: tuple[str, ...], rows: np.ndarray, li
     header = ",".join(DIM_HEADERS[d] for d in dims)
     Path(path).write_text("\n".join([header, *(lines[i] for i in order)]) + "\n")
     if sidecar is not None:
-        Path(sidecar).write_text(json.dumps({str(k): metas[i] for k, i in enumerate(order)}, indent=1))
+        Path(sidecar).write_text(_dumps_indent1({str(k): metas[i] for k, i in enumerate(order)}))
+
+
+class _NotPlainJson(Exception):
+    """A value :func:`_dumps_indent1` leaves to ``json.dumps``."""
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _encode_indent1(obj: Any, pad: str, out: list[str]) -> None:
+    """Append the chunks of ``json.dumps(obj, indent=1)`` nested ``len(pad)``
+    levels deep, testing types in ``json.encoder``'s order."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        out.append(_json_float(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        if not obj:
+            out.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = pad + " "
+        brackets, sep = ("{}" if isinstance(obj, dict) else "[]"), ",\n" + inner
+        out.append(brackets[0] + "\n" + inner)
+        if isinstance(obj, dict):
+            for n, (key, value) in enumerate(obj.items()):
+                if not isinstance(key, str):
+                    raise _NotPlainJson
+                out.append((sep if n else "") + encode_basestring_ascii(key) + ": ")
+                _encode_indent1(value, inner, out)
+        elif set(map(type, obj)) == {float} and math.isfinite(sum(obj)):  # finite floats: one join
+            out.append(sep.join(map(float.__repr__, obj)))
+        else:
+            for n, value in enumerate(obj):
+                if n:
+                    out.append(sep)
+                _encode_indent1(value, inner, out)
+        out.append("\n" + pad + brackets[1])
+    else:
+        raise _NotPlainJson
+
+
+def _dumps_indent1(obj: Any) -> str:
+    """``json.dumps(obj, indent=1)``, byte for byte, without its pure-Python
+    encoder (any ``indent`` leaves the C one) for dicts with str keys, lists,
+    tuples, str, int, float, bool and None; ``json.dumps`` itself for anything
+    else, so its errors are unchanged."""
+    out: list[str] = []
+    try:
+        _encode_indent1(obj, "", out)
+    except (_NotPlainJson, RecursionError):
+        return json.dumps(obj, indent=1)
+    return "".join(out)
 
 
 def export_csv(region: Region, path: str | Path, sidecar: str | Path | None = None) -> None:

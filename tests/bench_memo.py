@@ -10,7 +10,9 @@ and pytest runs it only when given its path. The stack is one of the AC6
 search's: the outer bound on ``xor_channel()`` at the default search
 cardinalities (W 2, V 5, U 5), 40 candidates of 800 extended-joint floats.
 The row-entropy kernel runs on the marginals of that bound's structured
-candidates, whose rows have mixed supports. The Gaussian cases time one
+candidates, whose rows have mixed supports. The draw and vertex cases time
+the search's two per-candidate steps at AC6's 5000 samples, each against the
+one-candidate-at-a-time form it replaced. The Gaussian cases time one
 800-step ``crcsec gauss`` job in-process and ``figure_dataset()``.
 """
 
@@ -77,6 +79,38 @@ def test_bound_point_inner(benchmark):
 def test_search_outer_ac6(benchmark):
     """AC6's search: the outer bound on xor at 5000 samples."""
     benchmark.pedantic(bounds.search_region, args=(CH, "outer"), kwargs={"samples": 5000}, rounds=3)
+
+
+AC6_DRAWS, AC6_SEED = 5000, 1
+
+
+@pytest.mark.parametrize("how", ["dirichlet_block", "per_draw"])
+def test_ac6_draws(benchmark, how):
+    """AC6's 5000 seeded flat-Dirichlet draws over 200 cells."""
+    size = int(np.prod(CARDS))
+    if how == "dirichlet_block":
+        benchmark(prob.dirichlet_block, AC6_SEED, 0, AC6_DRAWS, size)
+    else:
+        benchmark(lambda: [np.random.default_rng(np.random.SeedSequence((AC6_SEED, i))).dirichlet(np.ones(size))
+                           for i in range(AC6_DRAWS)])
+
+
+@pytest.fixture(scope="module")
+def outer_caps():
+    """The ``(5, 5000)`` outer caps of AC6's draws on xor."""
+    spec, size = bounds.BOUNDS[bounds.BoundKind.OUTER], int(np.prod(CARDS))
+    blocks = [prob.dirichlet_block(AC6_SEED, start, min(HEIGHT, AC6_DRAWS - start), size).reshape(-1, *CARDS)
+              for start in range(0, AC6_DRAWS, HEIGHT)]
+    return np.concatenate([bounds._caps(CH, spec, AXES, block) for block in blocks], axis=1)
+
+
+@pytest.mark.parametrize("how", ["vertex_rows", "per_candidate"])
+def test_ac6_vertices(benchmark, outer_caps, how):
+    """The vertex step of 5000 outer candidates."""
+    if how == "vertex_rows":
+        benchmark(bounds._vertex_rows, outer_caps)
+    else:
+        benchmark(lambda: [bounds._vertices(*caps) for caps in outer_caps.T.tolist()])
 
 
 def test_gauss_cli_800_steps(benchmark, tmp_path):

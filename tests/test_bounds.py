@@ -2,12 +2,13 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcsec import bounds, prob
 from crcsec.bounds import (
     BOUNDS,
+    CAP_SNAP_TOL,
     BoundKind,
     BoundsError,
     Condition,
@@ -20,6 +21,8 @@ from crcsec.bounds import (
     search_region,
     structured_candidates,
     _candidate_stacks,
+    _vertex_rows,
+    _vertices,
 )
 from crcsec.binning import RateConstraintError, compute_scheme_informations, derive_scheme_rates
 from crcsec.channel import (
@@ -231,6 +234,52 @@ def test_vertex_coordinates_bounded_by_output_entropy():
             assert -1e-12 <= p.r1 <= 1.0 + 1e-9
             assert -1e-12 <= p.r2 <= 1.0 + 1e-9
             assert p.re1 <= p.r1 + 1e-9 and p.re2 <= p.r2 + 1e-9
+
+
+def _nudged(draw, x):
+    """``x`` moved by a few ulps, by up to a few 1e-12, or not at all."""
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        x = float(np.nextafter(x, np.inf if ulps > 0 else -np.inf))
+    return x + draw(st.sampled_from([0.0, 0.0, 1e-13, -1e-13, 1e-12, -1e-12, 2.5e-12, -2.5e-12]))
+
+
+@st.composite
+def near_tie_caps(draw):
+    """``(5, S)`` caps whose corners often coincide or come within 12 decimals:
+    s at a + b, a or b give or take a few ulps, a = b = s, caps at and around
+    ``CAP_SNAP_TOL``, and zeros."""
+    snap = [0.0, CAP_SNAP_TOL, float(np.nextafter(CAP_SNAP_TOL, 0)), float(np.nextafter(CAP_SNAP_TOL, 1)),
+            CAP_SNAP_TOL + 1e-12, 2 * CAP_SNAP_TOL, -1e-12]
+    rate = st.one_of(st.floats(0.0, 4.0), st.sampled_from(snap))
+    cols = []
+    for _ in range(draw(st.integers(1, 12))):
+        a, b, s, e1, e2 = (draw(rate) for _ in range(5))
+        tie = draw(st.sampled_from(["none", "sum", "a", "b", "all"]))
+        if tie == "all":
+            a = b = s = draw(rate)
+        elif tie != "none":
+            s = _nudged(draw, {"sum": a + b, "a": a, "b": b}[tie])
+        cols.append((a, b, s, e1, e2))
+    return np.array(cols).T
+
+
+def _bits(rows):
+    return {tuple(row) for row in np.asarray(rows, dtype=float).reshape(-1, 4).view(np.uint64).tolist()}
+
+
+@given(near_tie_caps())
+@example(np.array([[1.0], [1.0], [float(np.nextafter(2.0, 0))], [0.5], [0.0]]))  # two corners an ulp apart
+@settings(max_examples=150, deadline=None)
+def test_vertex_rows_equal_scalar_vertices(caps):
+    """The closed form's rows of each candidate, as a set, are the scalar
+    form's bit for bit (near ties included), candidate by candidate."""
+    rows, candidate = _vertex_rows(caps)
+    assert np.all(np.diff(candidate) >= 0) and len(rows) == len(candidate)
+    for r in range(caps.shape[1]):
+        want = _vertices(*caps[:, r].tolist())
+        assert len(rows[candidate == r]) == len(want)
+        assert _bits(rows[candidate == r]) == _bits(want)
 
 
 def test_structured_candidates_cover_corner_assignment():

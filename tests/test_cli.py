@@ -509,3 +509,13 @@ def test_cli_import_leaves_scipy_optimize_unimported():
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_numpy_random_unimported():
+    # prob's draw kernel imports numpy.random on first use: at module level it
+    # would add about 20 ms to every command's start-up
+    code = "import sys\nimport crcsec.cli\nprint('numpy.random' in sys.modules)\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

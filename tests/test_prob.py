@@ -14,8 +14,10 @@ from crcsec.prob import (
     ProbError,
     _entropy_of,
     _row_entropies,
+    _seed_states,
     _stacked_sum,
     conditional_mutual_information,
+    dirichlet_block,
     entropy,
     marginalize,
     mutual_information,
@@ -137,6 +139,46 @@ def test_sample_joint_cards_are_not_truncated(card, shown):
     with pytest.raises(ProbError, match=f"card of V must be an integer, got {shown}"):
         sample_joint([("V", card), ("U", 1), ("X1", 2)], seed=0)
     assert sample_joint([("V", 2.0), ("U", "3")], seed=0).probs.shape == (2, 3)
+
+
+# 2**64 + 5 and 2**160 + 1 take three and six entropy words: the second runs
+# SeedSequence's pass over the words beyond its pool of four.
+SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**160 + 1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("first, rows", [(0, 3), (41, 6), (2**32 - 2, 4)])
+def test_seed_states_equal_seed_sequence(seed, first, rows):
+    """One array pass gives every row's SeedSequence state, across index word counts."""
+    want = [np.random.SeedSequence((seed, first + k)).generate_state(4, np.uint64) for k in range(rows)]
+    assert np.array_equal(_seed_states(seed, first, rows), np.array(want))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("size", [1, 2, 8, 9, 200])
+def test_dirichlet_block_equals_per_draw_generators_bit_for_bit(seed, size):
+    """Sizes below, at and past the 8 terms where numpy's sum turns pairwise:
+    a block normalized by ``e / e.sum()`` or ``e / acc`` differs in most rows
+    at sizes 8 and up."""
+    first, rows = 17, 5
+    want = [np.random.default_rng(np.random.SeedSequence((seed, first + k))).dirichlet(np.ones(size))
+            for k in range(rows)]
+    got = dirichlet_block(seed, first, rows, size)
+    assert got.shape == (rows, size)
+    assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def test_dirichlet_block_rejects_negative_seed_and_index():
+    for seed, first in [(-1, 0), (0, -1)]:
+        with pytest.raises(ProbError, match="must be >= 0"):
+            dirichlet_block(seed, first, 2, 3)
+
+
+@pytest.mark.parametrize("seed", [0, 99, np.random.SeedSequence((5, 7))])
+def test_sample_joint_equals_generator_dirichlet_bit_for_bit(seed):
+    p = sample_joint([("U", 3), ("X1", 2), ("X2", 5)], seed)
+    want = np.random.default_rng(seed).dirichlet(np.ones(30))
+    assert np.array_equal(p.probs.ravel().view(np.uint64), want.view(np.uint64))
 
 
 def test_sample_joint_flat_dirichlet_mean():

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -6,12 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crcsec.accept import brute_force_frontier
+from crcsec.prob import sample_joint
 from crcsec.region import (
     DEDUPE_DECIMALS,
     DIM_FIELDS,
     RatePoint,
     Region,
     RegionError,
+    _dumps_indent1,
     _gap_grid,
     checked_rows,
     contains_point,
@@ -271,3 +274,36 @@ def test_import_rejects_repeated_header(tmp_path):
     path.write_text("R1,R2,R1\n0.5,0.2,0.5\n")
     with pytest.raises(RegionError, match="repeated"):
         import_csv(path)
+
+
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e16, float("nan"), float("inf"), float("-inf")]
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(),  # text: non-ASCII and control characters too
+    st.floats(), st.sampled_from(SPECIAL_FLOATS),
+    st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(SPECIAL_FLOATS))),  # float vectors
+)
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=4)),
+    max_leaves=12,
+)
+REAL_METAS = [
+    {"0": {"source": "sample", "index": 7, "aux": sample_joint([("V", 3), ("X1", 2), ("X2", 2)], 4).to_jsonable()}},
+    {str(k): {"alpha": a} for k, a in enumerate(np.linspace(0.0, 1.0, 11).tolist())},
+]
+
+
+@given(JSON_VALUES)
+@example(REAL_METAS[0])
+@example(REAL_METAS[1])
+@example([[], {}, [[]], {"": {}}, ("tuple", 1.5), "\u00e9\n\"", [1.0, 2]])
+@settings(max_examples=100, deadline=None)
+def test_sidecar_writer_equals_json_dumps_indent_1(obj):
+    assert _dumps_indent1(obj) == json.dumps(obj, indent=1)
+
+
+def test_sidecar_writer_leaves_other_values_to_json():
+    """Non-str keys and values json cannot encode take ``json.dumps`` itself."""
+    assert _dumps_indent1({1: [2.0], None: True}) == json.dumps({1: [2.0], None: True}, indent=1)
+    with pytest.raises(TypeError):
+        _dumps_indent1({"a": [object()]})
