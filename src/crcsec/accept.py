@@ -44,12 +44,11 @@ def psi_units() -> tuple[list[str], str]:
 def figure_dataset_properties() -> tuple[list[str], str]:
     fails: list[str] = []
     data = gaussian.figure_dataset()
-    max_r2 = [max(p.r2 for p in reg.frontier) for _, reg in data]
-    max_re1 = [max(p.re1 for p in reg.frontier) for _, reg in data]
+    max_r2 = [reg.rows[:, 1].max() for _, reg in data]  # the weak family's dims: (r1, r2, re1)
+    max_re1 = [reg.rows[:, 2].max() for _, reg in data]
     _check(fails, all(a <= b + 1e-12 for a, b in zip(max_r2, max_r2[1:])), "max R2 not nondecreasing in b")
     _check(fails, all(a >= b - 1e-12 for a, b in zip(max_re1, max_re1[1:])), "max Re1 not nonincreasing in b")
-    b1_region = dict(data)[1.0]
-    _check(fails, all(p.re1 == 0.0 for p in b1_region.frontier), "Re1 not identically 0 at b=1")
+    _check(fails, (dict(data)[1.0].rows[:, 2] == 0.0).all(), "Re1 not identically 0 at b=1")
     return fails, "four-curve dataset properties hold"
 
 
@@ -142,24 +141,16 @@ def orthogonal_corner() -> tuple[list[str], str]:
     ch = channel.orthogonal_channel()
     hand = _u_equals_x1([("Q", 1), ("W", 1), ("V", 1), ("U", 2)])  # Q, W, V degenerate
     pts = bounds.bound_point(ch, bounds.BoundKind.INNER, hand)
-    exact = any(
-        p.r1 == 1.0 and p.r2 == 1.0 and p.re1 == 1.0 and p.re2 == 0.0 for p in pts
-    )
+    exact = any(p.coords(region.DIM_FIELDS) == (1.0, 1.0, 1.0, 0.0) for p in pts)
     _check(fails, exact, f"hand-built assignment gave {pts}, not (1,1,1,0)")
     reg = bounds.search_region(
         ch, bounds.BoundKind.INNER, cards=bounds.SearchCards(1, 1, 1, 2), samples=2000, seed=5
     )
-    target = region.RatePoint(0.95, 0.95, 0.95, 0.0)
-    _check(
-        fails,
-        any(region.dominates(p, target) for p in reg.frontier),
-        "no inner frontier point dominates (0.95, 0.95, 0.95, 0)",
-    )
+    _check(fails, region.contains_point(reg, (0.95, 0.95, 0.95, 0.0)),
+           "no inner frontier point dominates (0.95, 0.95, 0.95, 0)")
     over = 0.0
     for i in range(300):
-        aux = prob.sample_joint(
-            [("W", 2), ("V", 3), ("U", 3), ("X1", 2), ("X2", 2)], seed=50_000 + i
-        )
+        aux = prob.sample_joint([("W", 2), ("V", 3), ("U", 3), ("X1", 2), ("X2", 2)], seed=50_000 + i)
         for p in bounds.bound_point(ch, bounds.BoundKind.OUTER, aux):
             over = max(over, p.r1, p.r2)
     _check(fails, over <= 1.0 + 1e-9, f"outer vertex exceeded 1: {over}")
@@ -356,21 +347,10 @@ def _boundary_failures(delta: float) -> list[str]:
     return fails
 
 
-def brute_force_frontier(
-    points: list[region.RatePoint], dims: tuple[str, ...]
-) -> set[tuple[float, ...]]:
-    """O(n^2) dominance scan, independent of the library implementation."""
-    coords = [p.coords(dims) for p in points]
-    keep = set()
-    for i, ci in enumerate(coords):
-        dominated = False
-        for j, cj in enumerate(coords):
-            if i != j and all(a >= b for a, b in zip(cj, ci)) and cj != ci:
-                dominated = True
-                break
-        if not dominated:
-            keep.add(ci)
-    return keep
+def brute_force_frontier(rows) -> set[tuple[float, ...]]:
+    """O(n^2) dominance scan of coordinate rows, independent of the library implementation."""
+    coords = [tuple(map(float, row)) for row in rows]
+    return {ci for ci in coords if not any(cj != ci and all(a >= b for a, b in zip(cj, ci)) for cj in coords)}
 
 
 def lp_support(points: np.ndarray, weights: np.ndarray) -> float:
@@ -394,22 +374,18 @@ def geometry_oracles() -> tuple[list[str], str]:
     fails: list[str] = []
     rng = np.random.default_rng(9)
     for dims in (("r1", "r2"), ("r1", "r2", "re1"), ("r1", "r2", "re1", "re2")):
-        pts = []
-        for _ in range(1000):
-            r1, r2 = rng.uniform(0, 2, 2)
-            pts.append(
-                region.RatePoint(r1, r2, rng.uniform(0, r1), rng.uniform(0, r2))
-            )
-        got = {p.coords(dims) for p in region.pareto_filter(pts, dims).frontier}
-        want = brute_force_frontier(pts, dims)
+        draws = (rng.uniform(0, 2, 2) for _ in range(1000))
+        rows = np.array([(r1, r2, rng.uniform(0, r1), rng.uniform(0, r2)) for r1, r2 in draws])[:, : len(dims)]
+        got = set(map(tuple, region.pareto_filter(region.Region(dims, rows)).rows.tolist()))
+        want = brute_force_frontier(rows)
         _check(fails, got == want, f"frontier mismatch on dims {dims}")
         # Support function vs. the LP optimum on frontiers of 15 points. Hull
         # membership by the support test on the gap grid and by the LP: a shrunken
         # convex combination is inside, an argmax pushed out along λ is outside.
         grid = region._gap_grid(len(dims))
         for _ in range(20):
-            reg = region.pareto_filter([pts[i] for i in rng.choice(1000, 15, replace=False)], dims)
-            coords, h = region._coords(reg.frontier, dims), region.support(reg, grid)
+            reg = region.pareto_filter(region.Region(dims, rows[rng.choice(1000, 15, replace=False)]))
+            coords, h = reg.rows, region.support(reg, grid)
             for lam in rng.dirichlet(np.ones(len(dims)), 3):
                 err = abs(region.support(reg, lam[None])[0] - lp_support(coords, lam))
                 _check(fails, err <= 1e-9, f"support off the LP optimum by {err:.3g} at {lam.round(3)}")
@@ -435,11 +411,8 @@ def reductions() -> tuple[list[str], str]:
         with_caps = bounds.search_region(ch, kind, samples=400, seed=10)
         projected = region.project(with_caps, ("r1", "r2"))
         without = bounds.search_region(ch, kind, samples=400, seed=10, secrecy=False)
-        a = sorted(p.coords(("r1", "r2")) for p in projected.frontier)
-        b = sorted(p.coords(("r1", "r2")) for p in without.frontier)
-        same = len(a) == len(b) and all(
-            abs(x - y) <= 1e-9 for pa, pb in zip(a, b) for x, y in zip(pa, pb)
-        )
+        a, b = projected.rows, without.rows  # both in descending order
+        same = a.shape == b.shape and bool((np.abs(a - b) <= 1e-9).all())
         _check(fails, same, f"{ch.name}/{kind.value}: projected frontier differs")
     return fails, "reductions match projections"
 

@@ -17,8 +17,10 @@ with two corners within 12-decimal reach of each other take the scalar
 :func:`_vertices`. Regions are unions over all admissible distributions;
 ``search_region`` under-approximates that union by Pareto-merging the
 vertices of structured candidate distributions plus seeded flat-Dirichlet
-draws, a stack at a time from :func:`prob.dirichlet_block`. Structural channel orderings are checked by
-falsification search only: a reported "holds" means no violating
+draws, a stack at a time from :func:`prob.dirichlet_block`, into one array
+:class:`region.Region` whose metas name each row's distribution; only
+:func:`bound_point` returns rate points. Structural channel orderings are
+checked by falsification search only: a reported "holds" means no violating
 distribution was found at the given sampling effort, never a proof.
 """
 
@@ -255,7 +257,7 @@ def bound_point(ch: DiscreteCRC, kind: BoundKind, aux: JointPmf) -> list[RatePoi
     if missing:
         raise BoundsError(f"auxiliary joint lacks axes {missing}")
     rows = _vertex_rows(_caps(ch, spec, aux.axes, aux.probs[None]))[0]
-    return [RatePoint(*rows[i].tolist()) for i in _skyline(rows[:, :2])]
+    return list(Region(_ALL_DIMS, rows[_skyline(rows[:, :2])]).frontier)
 
 
 def parse_bound(token: str) -> BoundKind:
@@ -388,11 +390,8 @@ def search_region(
         aux = {r: stack[r].copy() for r in set(new.values())}  # survivors only: no stack stays alive
         frontier = frontier[keep]
         owners = [(source, start + new[i], aux[new[i]]) if i in new else owners[i] for i in keep]
-    points = [
-        RatePoint(**dict(zip(dims, row)), meta={"source": src, "index": i, "aux": JointPmf(names, aux)})
-        for row, (src, i, aux) in zip(frontier.tolist(), owners)
-    ]
-    return Region(tuple(points), dims)
+    return Region(dims, frontier, [{"source": src, "index": i, "aux": JointPmf(names, aux)}
+                                   for src, i, aux in owners])
 
 
 class Condition(str, Enum):

@@ -29,9 +29,10 @@ toward receiver 1 is precoded away.
 One array kernel, :func:`corners`, evaluates the corners of an alpha array
 elementwise in the order of the formulas above, each log2 by ``math.log2``,
 so every row equals the corner computed in Python floats bit for bit.
-:func:`corner` is its one-row call; :func:`sweep` gives the uniform grid
-and its rows as arrays (what ``crcsec gauss`` and ``figure2`` write), and
-:func:`sweep_points` the same rows as rate points.
+:func:`corner` is its one-row call, a rate point; :func:`sweep` gives the
+uniform grid and its rows as arrays (what ``crcsec gauss`` and ``figure2``
+write), and :func:`figure_dataset` the reference figure's frontiers as
+array regions.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .channel import GaussianCRC
-from .region import RatePoint, Region, checked_rows, frontier_rows
+from .region import RatePoint, Region, frontier_rows
 
 HYPOTHESIS_TOL = 1e-9
 
@@ -141,30 +142,17 @@ def corners(g: GaussianCRC, mode: GaussMode, alpha) -> np.ndarray:
 
 def corner(g: GaussianCRC, mode: GaussMode, alpha: float) -> RatePoint:
     """The family's box corner at power split ``alpha``, annotated with alpha."""
-    alpha = np.array([float(alpha)])
-    return _points(mode, alpha, corners(g, mode, alpha))[0]
+    alpha = float(alpha)
+    return Region(FAMILIES[mode].dims, corners(g, mode, np.array([alpha])), [{"alpha": alpha}]).frontier[0]
 
 
 def sweep(g: GaussianCRC, mode: GaussMode, steps: int) -> tuple[np.ndarray, np.ndarray]:
     """The uniform alpha grid {0, 1/steps, ..., 1} (entry i is i / steps) and
-    its corner rows, checked and clipped as :class:`RatePoint` checks its
-    coordinates."""
+    its corner rows, checked and clipped as :class:`Region` checks its rows."""
     if steps < 1:
         raise GaussError("steps must be >= 1")
     alpha = np.arange(steps + 1) / steps
-    return alpha, checked_rows(corners(g, mode, alpha), FAMILIES[mode].dims)
-
-
-def _points(mode: GaussMode, alpha: np.ndarray, rows: np.ndarray) -> list[RatePoint]:
-    """Corner rows as rate points annotated with their alpha."""
-    dims = FAMILIES[mode].dims
-    return [RatePoint(**dict(zip(dims, row)), meta={"alpha": a})
-            for a, row in zip(alpha.tolist(), rows.tolist())]
-
-
-def sweep_points(g: GaussianCRC, mode: GaussMode, steps: int) -> list[RatePoint]:
-    """Corners on the uniform alpha grid {0, 1/steps, ..., 1}."""
-    return _points(mode, *sweep(g, mode, steps))
+    return alpha, Region(FAMILIES[mode].dims, corners(g, mode, alpha)).rows
 
 
 class SecrecyClass(str, Enum):
@@ -210,10 +198,9 @@ def figure_sweeps() -> list[tuple[float, np.ndarray, np.ndarray]]:
 
 
 def figure_dataset() -> list[tuple[float, Region]]:
-    """Pareto frontiers of :func:`figure_sweeps`."""
-    dims = FAMILIES[GaussMode.WEAK].dims
-    data = []
+    """Pareto frontiers of :func:`figure_sweeps`, each row annotated with its alpha."""
+    dims, data = FAMILIES[GaussMode.WEAK].dims, []
     for b, alpha, rows in figure_sweeps():
         keep = frontier_rows(rows)
-        data.append((b, Region(tuple(_points(GaussMode.WEAK, alpha[keep], rows[keep])), dims)))
+        data.append((b, Region(dims, rows[keep], [{"alpha": a} for a in alpha[keep].tolist()])))
     return data

@@ -1,32 +1,31 @@
-"""Rate-point set algebra: dominance, Pareto frontiers, inclusion, support functions, CSV.
+"""Rate regions as coordinate arrays: dominance, Pareto frontiers, inclusion, support functions, CSV.
 
-A region is represented by the Pareto frontier of its achievable rate
-tuples; the region itself is the downward closure of that frontier. Points
-carry up to four coordinates (R1, R2, Re1, Re2); a region's ``dims`` names
-the coordinates that are active (regions without a secrecy guarantee for
-one message drop the corresponding equivocation coordinate).
+A region is the downward closure of the Pareto frontier of its rate tuples.
+A :class:`Region` holds that frontier as one read-only array, ``rows``, over
+its active coordinates ``dims`` among (R1, R2, Re1, Re2) (a region without
+secrecy for one message drops that equivocation), with one annotation per
+row, ``metas``. Its constructor is the one check of rate tuples; every
+operation here works on ``rows``, and :attr:`Region.frontier` yields them as
+plain :class:`RatePoint` values to library callers.
 
-One sort-based skyline kernel, ``_skyline`` over coordinate arrays,
-computes every frontier; of equal rows the first occurrence wins. One rule,
-``_first_distinct``, merges points that agree to 12 decimals (the first
-wins): ``frontier_rows``, the frontier step of an ``(N, d)`` array, applies
-it to all its rows (rounding only the rows another row comes within
-``TIE_TOL`` of in every column), and so does ``pareto_filter`` (so ``merge``
-and ``project``) on its points; ``bounds.search_region`` applies it only to
-the corners of one candidate, so across candidates its ties are exact and
-the first found wins. ``checked_rows`` applies :class:`RatePoint`'s checks
-to a coordinate array, so array callers (the Gaussian sweeps) build no
-points.
+One sort-based skyline kernel, ``_skyline``, computes every frontier; of
+equal rows the first wins. One rule, ``_first_distinct``, merges rows that
+agree to 12 decimals (the first wins): ``frontier_rows`` applies it to all
+rows of an ``(N, d)`` array (rounding only the rows another row comes
+within ``TIE_TOL`` of in every column), and so does ``pareto_filter`` (so
+``merge`` and ``project``); ``bounds.search_region`` applies it only to the
+corners of one candidate, so across candidates its ties are exact and the
+first found wins.
 
 Time sharing makes the paper's regions convex. ``support``, one matrix
 product in any number of dims, is the support function of a region's convex
 hull; ``convex_gap`` compares two hulls by it over a fixed simplex grid.
 
 CSV export: one writer, ``write_frontier``, takes a coordinate array and its
-rows' CSV lines (``format_rows``); ``export_csv`` wraps it for a region.
-Header lists active dims (``R1,R2,Re1,Re2`` subset), values at 9 decimal
-digits, rows in lexicographically descending order; re-import round-trips
-within 1e-9. The optional JSON sidecar holds the bytes of
+rows' CSV lines (``format_rows``); ``export_csv`` calls it on a region's
+rows. Header lists active dims (``R1,R2,Re1,Re2`` subset), values at 9
+decimal digits, rows in lexicographically descending order; re-import
+round-trips within 1e-9. The optional JSON sidecar holds the bytes of
 ``json.dumps(metas, indent=1)``, written by ``_dumps_indent1`` without
 ``json``'s pure-Python indenting encoder.
 """
@@ -37,6 +36,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -56,12 +56,14 @@ _EARLIER = np.triu(np.ones((SKYLINE_BLOCK, SKYLINE_BLOCK), dtype=bool), 1)  # [j
 
 
 class RegionError(ValueError):
-    """Ill-formed rate point or region operation."""
+    """Ill-formed rate tuple or region operation; ``row`` indexes a region's first failing row."""
+
+    row: int | None = None
 
 
 @dataclass(frozen=True)
 class RatePoint:
-    """One rate tuple (bits/channel use) with an optional annotation."""
+    """One rate tuple (bits/channel use) and its annotation: a plain value, unchecked."""
 
     r1: float = 0.0
     r2: float = 0.0
@@ -69,36 +71,63 @@ class RatePoint:
     re2: float = 0.0
     meta: Any = field(default=None, compare=False)
 
-    def __post_init__(self) -> None:
-        for nm in DIM_FIELDS:
-            v = float(getattr(self, nm))
-            if not (v == v and abs(v) != float("inf")):
-                raise RegionError(f"{nm} must be finite, got {v!r}")
-            if v < -COORD_TOL:
-                raise RegionError(f"{nm} must be nonnegative, got {v}")
-            object.__setattr__(self, nm, max(v, 0.0))
-        if self.re1 > self.r1 + COORD_TOL:
-            raise RegionError(f"re1={self.re1} exceeds r1={self.r1}")
-        if self.re2 > self.r2 + COORD_TOL:
-            raise RegionError(f"re2={self.re2} exceeds r2={self.r2}")
-
     def coords(self, dims: tuple[str, ...]) -> tuple[float, ...]:
         return tuple(getattr(self, d) for d in dims)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Region:
-    """Antichain of maximal rate points plus the active coordinate names."""
+    """A frontier: ``rows``, a read-only ``(N, len(dims))`` copy of the input,
+    and one annotation per row in ``metas``. Each value must be finite and >=
+    -COORD_TOL (clipped below 0 as ``max(v, 0.0)``, so -0.0 stays), and Re_i <=
+    R_i + COORD_TOL, a coordinate outside ``dims`` reading 0; the first failing
+    row raises. The constructor does not filter."""
 
-    frontier: tuple[RatePoint, ...]
     dims: tuple[str, ...]
+    rows: Any = ()
+    metas: Iterable[Any] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dims", _check_dims(self.dims))
-        object.__setattr__(self, "frontier", tuple(self.frontier))
+        dims = _check_dims(self.dims)
+        rows = np.array(self.rows, dtype=float)
+        if rows.size == 0:
+            rows = rows.reshape(0, len(dims))
+        if rows.ndim != 2 or rows.shape[1] != len(dims):
+            raise RegionError(f"rows must be an (N, {len(dims)}) array, got shape {rows.shape}")
+        cols = [DIM_FIELDS.index(d) for d in dims]
+        full = np.zeros((len(rows), len(DIM_FIELDS)))
+        full[:, cols] = rows
+        clipped = np.where(full < 0.0, 0.0, full)  # as max(v, 0.0): keeps -0.0
+        bad = ~((full >= -COORD_TOL) & (full < np.inf)).all(axis=1)
+        bad |= (clipped[:, 2:] > clipped[:, :2] + COORD_TOL).any(axis=1)  # Re1 <= R1, Re2 <= R2
+        if bad.any():
+            err = RegionError(_row_error(full[bad.argmax()].tolist()))
+            err.row = int(bad.argmax())
+            raise err
+        rows = clipped[:, cols]
+        rows.flags.writeable = False
+        metas = (None,) * len(rows) if self.metas is None else tuple(self.metas)
+        if len(metas) != len(rows):
+            raise RegionError(f"{len(metas)} metas for {len(rows)} rows")
+        self.__dict__.update(dims=dims, rows=rows, metas=metas)  # frozen: no __setattr__
 
     def __len__(self) -> int:
-        return len(self.frontier)
+        return len(self.rows)
+
+    @cached_property
+    def frontier(self) -> tuple[RatePoint, ...]:
+        """The rows as rate points carrying their metas, built on first use."""
+        return tuple(RatePoint(**dict(zip(self.dims, row)), meta=meta)
+                     for row, meta in zip(self.rows.tolist(), self.metas))
+
+
+def _row_error(row: list[float]) -> str:
+    """The message of the first check a full ``(r1, r2, re1, re2)`` row fails."""
+    for nm, v in zip(DIM_FIELDS, row):
+        if not -COORD_TOL <= v < math.inf:
+            return f"{nm} must be {'nonnegative' if math.isfinite(v) else 'finite'}, got {v}"
+    r1, r2, re1, re2 = (max(v, 0.0) for v in row)
+    return f"re1={re1} exceeds r1={r1}" if re1 > r1 + COORD_TOL else f"re2={re2} exceeds r2={r2}"
 
 
 def _check_dims(dims: Iterable[str]) -> tuple[str, ...]:
@@ -111,10 +140,6 @@ def _check_dims(dims: Iterable[str]) -> tuple[str, ...]:
 def dominates(p: RatePoint, q: RatePoint, dims: Iterable[str] = DIM_FIELDS) -> bool:
     """True iff p >= q componentwise on the active dims (ties count)."""
     return all(getattr(p, d) >= getattr(q, d) for d in _check_dims(dims))
-
-
-def _coords(points: Iterable[RatePoint], dims: tuple[str, ...]) -> np.ndarray:
-    return np.array([p.coords(dims) for p in points], dtype=float).reshape(-1, len(dims))
 
 
 def _ge(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,32 +221,16 @@ def frontier_rows(rows: np.ndarray) -> np.ndarray:
     return distinct[_skyline(rows[distinct])]
 
 
-def checked_rows(rows: np.ndarray, dims: Iterable[str]) -> np.ndarray:
-    """An ``(N, len(dims))`` coordinate array under :class:`RatePoint`'s
-    checks: the first failing row raises its point's error. Returns the rows
-    with coordinates within ``COORD_TOL`` below 0 clipped to 0."""
-    cols = [DIM_FIELDS.index(d) for d in _check_dims(dims)]
-    full = np.zeros((len(rows), len(DIM_FIELDS)))
-    full[:, cols] = rows
-    clipped = np.where(full < 0.0, 0.0, full)  # as max(v, 0.0): keeps -0.0
-    bad = ~np.isfinite(full).all(axis=1) | (full < -COORD_TOL).any(axis=1)
-    bad |= (clipped[:, 2:] > clipped[:, :2] + COORD_TOL).any(axis=1)  # Re1 <= R1, Re2 <= R2
-    if bad.any():
-        RatePoint(*full[bad.argmax()].tolist())  # raises that row's error
-    return clipped[:, cols]
-
-
-def pareto_filter(points: Iterable[RatePoint], dims: Iterable[str] = DIM_FIELDS) -> Region:
-    """Maximal antichain of ``points``, after merging 12-decimal duplicates."""
-    dims = _check_dims(dims)
-    points = list(points)
-    return Region(tuple(points[i] for i in frontier_rows(_coords(points, dims))), dims)
+def pareto_filter(region: Region) -> Region:
+    """The region's maximal rows (:func:`frontier_rows`), each with its meta."""
+    keep = frontier_rows(region.rows).tolist()
+    return Region(region.dims, region.rows[keep], [region.metas[i] for i in keep])
 
 
 def merge(a: Region, b: Region) -> Region:
     if a.dims != b.dims:
         raise RegionError(f"cannot merge regions with dims {a.dims} and {b.dims}")
-    return pareto_filter(a.frontier + b.frontier, a.dims)
+    return pareto_filter(Region(a.dims, np.concatenate([a.rows, b.rows]), a.metas + b.metas))
 
 
 def project(region: Region, dims: Iterable[str]) -> Region:
@@ -229,22 +238,22 @@ def project(region: Region, dims: Iterable[str]) -> Region:
     dims = _check_dims(dims)
     if not set(dims) <= set(region.dims):
         raise RegionError(f"projection dims {dims} not within {region.dims}")
-    return pareto_filter(region.frontier, dims)
+    return pareto_filter(Region(dims, region.rows[:, [region.dims.index(d) for d in dims]], region.metas))
 
 
-def contains_point(region: Region, p: RatePoint, tol: float = 0.0) -> bool:
-    """True iff some frontier point dominates ``p`` after a +tol shift."""
-    return inclusion_fraction(Region((p,), region.dims), region, tol) == 1.0
+def contains_point(region: Region, row: Iterable[float], tol: float = 0.0) -> bool:
+    """True iff a frontier row dominates ``row``, over ``region.dims``, after a +tol shift."""
+    return inclusion_fraction(Region(region.dims, [row]), region, tol) == 1.0
 
 
 def inclusion_fraction(a: Region, b: Region, tol: float) -> float:
-    """Fraction of A's frontier points contained in B (empty A -> 1)."""
-    if not a.frontier:
-        return 1.0
-    front, pts = _coords(b.frontier, b.dims) + tol, _coords(a.frontier, b.dims)
+    """Fraction of A's frontier rows contained in B (empty A -> 1)."""
+    if a.dims != b.dims:
+        raise RegionError(f"cannot compare regions with dims {a.dims} and {b.dims}")
+    front, pts = b.rows + tol, a.rows
     blocks = range(0, len(pts), SKYLINE_BLOCK)
     hits = sum(int(_ge(front, pts[lo : lo + SKYLINE_BLOCK]).any(axis=0).sum()) for lo in blocks)
-    return hits / len(a.frontier)
+    return hits / len(a) if len(a) else 1.0
 
 
 def _gap_grid(d: int) -> np.ndarray:
@@ -262,7 +271,7 @@ def support(region: Region, weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 2 or weights.shape[1] != len(region.dims) or (weights < 0).any():
         raise RegionError(f"weights must be a nonnegative (k, {len(region.dims)}) array")
-    return (_coords(region.frontier, region.dims) @ weights.T).max(axis=0, initial=0.0)
+    return (region.rows @ weights.T).max(axis=0, initial=0.0)
 
 
 def convex_gap(a: Region, b: Region) -> float:
@@ -359,29 +368,27 @@ def _dumps_indent1(obj: Any) -> str:
 
 def export_csv(region: Region, path: str | Path, sidecar: str | Path | None = None) -> None:
     """Write the frontier as CSV (:func:`write_frontier`); the optional
-    sidecar holds each point's ``meta``, serialized with ``to_jsonable()``
-    when available."""
-    rows = _coords(region.frontier, region.dims)
-    metas = [_jsonable_meta(p.meta) for p in region.frontier]
-    write_frontier(path, region.dims, rows, format_rows(rows), metas, sidecar)
+    sidecar holds each row's meta, serialized with ``to_jsonable()`` when
+    available."""
+    metas = [_jsonable_meta(m) for m in region.metas]
+    write_frontier(path, region.dims, region.rows, format_rows(region.rows), metas, sidecar)
 
 
 def _jsonable_meta(meta: Any) -> Any:
-    if meta is None:
-        return None
     if hasattr(meta, "to_jsonable"):
         return meta.to_jsonable()
     if isinstance(meta, dict):
         return {k: _jsonable_meta(v) for k, v in meta.items()}
     if isinstance(meta, (list, tuple)):
         return [_jsonable_meta(v) for v in meta]
-    if isinstance(meta, (str, int, float, bool)):
+    if meta is None or isinstance(meta, (str, int, float, bool)):
         return meta
     return repr(meta)
 
 
 def import_csv(path: str | Path) -> Region:
-    """Read a frontier CSV written by :func:`export_csv`."""
+    """Read a frontier CSV written by :func:`export_csv`. A bad value raises
+    :class:`RegionError` naming the path and the line of its row."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -391,11 +398,18 @@ def import_csv(path: str | Path) -> Region:
         dims = tuple(HEADER_DIMS.get(h.strip(), "") for h in headers)
         if any(not d for d in dims) or len(set(dims)) != len(dims):
             raise RegionError(f"{path}, line 1: unknown or repeated CSV headers {headers}")
-        points = []
+        rows, lines = [], []
         for row in reader:
             if not row:
                 continue
             if len(row) != len(dims):
                 raise RegionError(f"{path}, line {reader.line_num}: expected {len(dims)} values")
-            points.append(RatePoint(**dict(zip(dims, (float(v) for v in row)))))
-    return Region(tuple(points), dims)
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise RegionError(f"{path}, line {reader.line_num}: {exc}") from None
+            lines.append(reader.line_num)
+    try:
+        return Region(dims, rows)
+    except RegionError as exc:
+        raise RegionError(f"{path}, line {lines[exc.row]}: {exc}") from None

@@ -12,7 +12,6 @@ import pytest
 from crcsec import cli, gaussian
 from crcsec.accept import _benchmark_setup, brute_force_frontier
 from crcsec.channel import GaussianCRC, orthogonal_channel, write_channel, xor_channel
-from crcsec.region import RatePoint
 from test_gaussian import corner_oracle
 
 
@@ -160,9 +159,7 @@ def _oracle_gauss_files(g, mode, steps):
     """Every gauss output from the scalar oracle, an O(n^2) dominance scan and
     ``json.dumps``; the frontier's rows descend and each keeps its first alpha."""
     sweep, pairs = _oracle_sweep(g, mode, steps)
-    dims = gaussian.FAMILIES[gaussian.GaussMode(mode)].dims
-    points = [RatePoint(**dict(zip(dims, c))) for _, c in pairs]
-    front = sorted(brute_force_frontier(points, dims), reverse=True)
+    front = sorted(brute_force_frontier(c for _, c in pairs), reverse=True)
     first = {}
     for a, c in pairs:
         first.setdefault(tuple(c), a)
@@ -471,6 +468,16 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
         argv = shlex.split(line, comments=True)[1:]
         expected = 3 if argv[0] == "check" else 0  # the check line reports a violation on orth.json
         assert run(argv) == expected, (line, capsys.readouterr().err)
+
+
+def test_readme_python_examples_run(tmp_path, monkeypatch):
+    # every python block of the README, each in a fresh namespace, run in a scratch directory
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def _degenerate_aux_json():

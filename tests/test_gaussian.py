@@ -20,9 +20,8 @@ from crcsec.gaussian import (
     parse_mode,
     psi,
     sweep,
-    sweep_points,
 )
-from crcsec.region import pareto_filter
+from crcsec.region import Region, pareto_filter
 
 WEAK, DEGRADED, SECRECY = GaussMode.WEAK, GaussMode.DEGRADED, GaussMode.SECRECY
 
@@ -75,7 +74,7 @@ def test_weak_point_edge_cases():
     with pytest.raises(GaussError):
         corner(GaussianCRC(1.0, 0.5, 20.0, 20.0), WEAK, 1.5)
     with pytest.raises(GaussError):
-        sweep_points(GaussianCRC(1.0, 1.5, 20.0, 20.0), WEAK, 10)
+        sweep(GaussianCRC(1.0, 1.5, 20.0, 20.0), WEAK, 10)
 
 
 def test_weak_family_inside_its_tolerance(tmp_path):
@@ -108,7 +107,7 @@ def test_degraded_hypothesis_checks():
     with pytest.raises(GaussError):
         corner(GaussianCRC(1.0, 1.0, 20.0, 20.0), DEGRADED, 0.5)  # |a| not > 1
     with pytest.raises(GaussError):
-        sweep_points(GaussianCRC(1.0, 0.5, 20.0, 20.0), DEGRADED, 10)
+        sweep(GaussianCRC(1.0, 0.5, 20.0, 20.0), DEGRADED, 10)
 
 
 def test_degraded_equals_weak_on_overlap():
@@ -161,21 +160,20 @@ def test_degraded_class_agrees_with_degraded_family(a):
 
 def test_swept_region_endpoints_and_monotonicity():
     g = GaussianCRC(a=1.0, b=0.5, p1=20.0, p2=20.0)
-    reg = pareto_filter(sweep_points(g, WEAK, steps=1), FAMILIES[WEAK].dims)
+    reg = pareto_filter(Region(FAMILIES[WEAK].dims, sweep(g, WEAK, steps=1)[1]))
     assert len(reg) == 2  # both alpha endpoints are maximal
-    pts = sweep_points(g, WEAK, steps=200)
-    assert [p.meta["alpha"] for p in pts] == [i / 200 for i in range(201)]
-    r1s = [p.r1 for p in pts]
-    r2s = [p.r2 for p in pts]
+    alpha, rows = sweep(g, WEAK, steps=200)
+    assert alpha.tolist() == [i / 200 for i in range(201)]
+    r1s, r2s = rows[:, 0].tolist(), rows[:, 1].tolist()
     assert all(a <= b + 1e-12 for a, b in zip(r1s, r1s[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(r2s, r2s[1:]))
     with pytest.raises(GaussError):
-        sweep_points(g, WEAK, steps=0)
+        sweep(g, WEAK, steps=0)
 
 
 def test_swept_region_b1_has_zero_secrecy():
     g = GaussianCRC(a=1.0, b=1.0, p1=20.0, p2=20.0)
-    reg = pareto_filter(sweep_points(g, WEAK, steps=100), FAMILIES[WEAK].dims)
+    reg = pareto_filter(Region(FAMILIES[WEAK].dims, sweep(g, WEAK, steps=100)[1]))
     assert reg.dims == ("r1", "r2", "re1")
     assert all(p.re1 == 0.0 for p in reg.frontier)
 
@@ -187,7 +185,10 @@ def test_family_table():
     g = GaussianCRC(2.0, 0.5, 20.0, 20.0)  # inside every family's hypothesis
     for mode, family in FAMILIES.items():
         assert family.holds(g)
-        assert sweep_points(g, mode, 4) == [corner(g, mode, i / 4) for i in range(5)]
+        alpha, rows = sweep(g, mode, 4)
+        points = [corner(g, mode, a) for a in alpha.tolist()]
+        assert [p.coords(family.dims) for p in points] == list(map(tuple, rows.tolist()))
+        assert [p.meta for p in points] == [{"alpha": i / 4} for i in range(5)]
 
 
 def test_figure_dataset_shape_and_extremes():
